@@ -74,20 +74,6 @@ double HoldModelEventsPerSec(Simulator::QueueKind kind, uint64_t population,
   return wall > 0 ? static_cast<double>(sim.executed_events()) / wall : 0;
 }
 
-// Counts every engine page access (the work unit the end-to-end rate
-// is measured in) through the capture hook the replay subsystem uses.
-class AccessCounter : public ExecutionRecorder {
- public:
-  void OnExecution(int, ClassKey,
-                   const std::vector<PageAccess>& accesses) override {
-    accesses_ += accesses.size();
-  }
-  uint64_t accesses() const { return accesses_; }
-
- private:
-  uint64_t accesses_ = 0;
-};
-
 struct EndToEnd {
   double wall_ms = 0;
   uint64_t completions = 0;
@@ -112,7 +98,7 @@ EndToEnd RunOverload(Simulator::QueueKind kind, double clients,
   ClientEmulator::Options emu;
   emu.cohort = cohort;
   harness.AddConstantClients(tpcw, clients, kSeed, emu);
-  AccessCounter counter;
+  bench::AccessCounter counter;
   harness.AttachRecorders(nullptr, &counter);
 
   const double start = Now();

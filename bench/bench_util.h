@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "storage/page.h"
 #include "workload/access_generator.h"
+#include "workload/capture_hooks.h"
 #include "workload/query_class.h"
 
 namespace fglb::bench {
@@ -31,6 +32,21 @@ inline void PrintHeader(const std::string& title) {
 inline void PrintSection(const std::string& title) {
   std::printf("\n--- %s ---\n", title.c_str());
 }
+
+// Counts every engine page access (the work unit the end-to-end rate
+// is measured in) through the capture hook the replay subsystem uses.
+// Attach with ClusterHarness::AttachRecorders; must outlive the harness.
+class AccessCounter : public ExecutionRecorder {
+ public:
+  void OnExecution(int, ClassKey,
+                   const std::vector<PageAccess>& accesses) override {
+    accesses_ += accesses.size();
+  }
+  uint64_t accesses() const { return accesses_; }
+
+ private:
+  uint64_t accesses_ = 0;
+};
 
 // Machine-readable benchmark output. Each measured configuration adds
 // one record (name, wall_ms, accesses_per_sec); WriteTo emits a

@@ -1,8 +1,14 @@
 #include "common/random.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <utility>
 
 namespace fglb {
 
@@ -23,6 +29,23 @@ uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+// Process-wide memo of immutable tables: every caller asking for the
+// same key while a copy is alive shares that copy. One memo per call
+// site (each passes its own `build` lambda type).
+template <typename T, typename Key, typename Build>
+std::shared_ptr<const T> SharedTable(const Key& key, Build build) {
+  static std::mutex mu;
+  static std::map<Key, std::weak_ptr<const T>> memo;
+  std::lock_guard<std::mutex> lock(mu);
+  std::weak_ptr<const T>& slot = memo[key];
+  std::shared_ptr<const T> table = slot.lock();
+  if (table == nullptr) {
+    table = build();
+    slot = table;
+  }
+  return table;
 }
 
 }  // namespace
@@ -140,6 +163,38 @@ double Helper2(double x) {
 
 }  // namespace
 
+// The table works in draw positions: r = NextDouble() scaled to
+// [0, 2^31), floored. u falls as r rises, so in position order ranks run
+// n, n-1, ..., 1, and each rank k owns two cells: first the draws the
+// formula accepts as k (u >= min(quick-accept start, squeeze
+// threshold)), then the draws it rejects (u below both). edges[2p] and
+// edges[2p + 1] are where pair p = n - k's accept and reject cells
+// start; edges[2n] = 2^31 closes the last cell. A reject cell is empty
+// when the formula accepts all of rank k's interval.
+//
+// Edges are rounded and computed with libm, so they can be off by a
+// position or two; the formula's own x = HInverse(u) is off by far less
+// than one position. A draw at least kGuardPositions (~4e-9 of the
+// u range) from both edges of its cell therefore gets the formula's
+// answer from the table; one closer runs the formula itself.
+struct ZipfGenerator::Table {
+  std::vector<uint32_t> edges;
+  // guide[pos >> guide_shift]: the pair whose cells hold the bucket's
+  // first position. At least n buckets, so a lookup scans ~1 edge.
+  std::vector<uint16_t> guide;
+  int guide_shift = 0;
+};
+
+namespace {
+
+constexpr double kDrawPositions = 0x1.0p31;
+constexpr uint32_t kGuardPositions = 8;
+// The formula's u-space error near rank 1 grows like 2^(theta - 1)
+// ulps; up to this theta it stays ~1e4x inside the guard band.
+constexpr double kMaxTabulatedTheta = 8.0;
+
+}  // namespace
+
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
     : n_(n), theta_(theta) {
   assert(n > 0);
@@ -148,6 +203,11 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
   h_integral_x1_ = H(1.5) - 1.0;
   h_integral_num_elements_ = H(static_cast<double>(n) + 0.5);
   s_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -theta));
+  if (n >= 2 && n <= kMaxTabulatedDomain && theta <= kMaxTabulatedTheta) {
+    table_ = SharedTable<Table>(
+        std::make_pair(n, std::bit_cast<uint64_t>(theta)),
+        [this] { return BuildTable(); });
+  }
 }
 
 double ZipfGenerator::H(double x) const {
@@ -164,23 +224,90 @@ double ZipfGenerator::HInverse(double x) const {
   return std::exp(Helper2(tt) * x);
 }
 
-uint64_t ZipfGenerator::Sample(Rng& rng) const {
-  if (n_ == 1) return 0;
-  for (;;) {
-    const double u = h_integral_num_elements_ +
-                     rng.NextDouble() *
-                         (h_integral_x1_ - h_integral_num_elements_);
-    const double x = HInverse(u);
-    double k = x + 0.5;
-    if (k < 1.0) k = 1.0;
-    if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
-    const uint64_t ki = static_cast<uint64_t>(k);
-    const double kd = static_cast<double>(ki);
-    if (kd - x <= s_ ||
-        u >= H(kd + 0.5) - std::exp(-theta_ * std::log(kd))) {
-      return ki - 1;
+bool ZipfGenerator::TryDrawByFormula(double r, uint64_t* rank) const {
+  const double u = h_integral_num_elements_ +
+                   r * (h_integral_x1_ - h_integral_num_elements_);
+  const double x = HInverse(u);
+  double k = x + 0.5;
+  if (k < 1.0) k = 1.0;
+  if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
+  const uint64_t ki = static_cast<uint64_t>(k);
+  const double kd = static_cast<double>(ki);
+  if (kd - x <= s_ ||
+      u >= H(kd + 0.5) - std::exp(-theta_ * std::log(kd))) {
+    *rank = ki - 1;
+    return true;
+  }
+  return false;
+}
+
+std::shared_ptr<const ZipfGenerator::Table> ZipfGenerator::BuildTable()
+    const {
+  const double span = h_integral_num_elements_ - h_integral_x1_;
+  auto position = [&](double u) {
+    const double p = (h_integral_num_elements_ - u) / span * kDrawPositions;
+    return static_cast<uint32_t>(std::clamp(std::round(p), 0.0,
+                                            kDrawPositions));
+  };
+  auto table = std::make_shared<Table>();
+  std::vector<uint32_t>& edges = table->edges;
+  edges.resize(2 * n_ + 1);
+  // Walk ranks n..1: u-space intervals [H(k - 0.5), H(k + 0.5)) downward.
+  // Rounding can reorder near-equal edges by a position; `last` keeps
+  // them ascending for the scan (such cells lie inside guard bands).
+  double upper = h_integral_num_elements_;
+  uint32_t last = 0;
+  for (uint64_t p = 0; p < n_; ++p) {
+    const double kd = static_cast<double>(n_ - p);
+    const double lower = kd > 1.0
+                             ? std::min(H(kd - 0.5), upper)
+                             : -std::numeric_limits<double>::infinity();
+    const double quick = H(kd - s_);
+    const double squeeze = H(kd + 0.5) - std::exp(-theta_ * std::log(kd));
+    const double accept = std::clamp(std::min(quick, squeeze), lower, upper);
+    last = edges[2 * p] = std::max(last, position(upper));
+    last = edges[2 * p + 1] = std::max(last, position(accept));
+    upper = lower;
+  }
+  edges[2 * n_] = static_cast<uint32_t>(kDrawPositions);
+
+  const uint64_t buckets = std::bit_ceil(n_);
+  table->guide_shift = 31 - std::countr_zero(buckets);
+  table->guide.resize(buckets);
+  uint32_t cell = 0;
+  for (uint64_t g = 0; g < buckets; ++g) {
+    const uint32_t start = static_cast<uint32_t>(g << table->guide_shift);
+    while (start >= edges[cell + 1]) ++cell;
+    table->guide[g] = static_cast<uint16_t>(cell / 2);
+  }
+  return table;
+}
+
+bool ZipfGenerator::TryDraw(double r, uint64_t* rank) const {
+  if (n_ == 1) {
+    *rank = 0;
+    return true;
+  }
+  if (table_ != nullptr) {
+    const uint32_t* edges = table_->edges.data();
+    const uint32_t pos = static_cast<uint32_t>(r * kDrawPositions);
+    uint32_t cell = 2u * table_->guide[pos >> table_->guide_shift];
+    while (pos >= edges[cell + 1]) ++cell;
+    if (pos - edges[cell] >= kGuardPositions &&
+        edges[cell + 1] - pos > kGuardPositions) {
+      *rank = n_ - 1 - cell / 2;
+      return cell % 2 == 0;
     }
   }
+  return TryDrawByFormula(r, rank);
+}
+
+uint64_t ZipfGenerator::Sample(Rng& rng) const {
+  if (n_ == 1) return 0;
+  uint64_t rank = 0;
+  while (!TryDraw(rng.NextDouble(), &rank)) {
+  }
+  return rank;
 }
 
 namespace {
@@ -218,6 +345,18 @@ uint64_t ScrambleToDomain(uint64_t value, uint64_t n) {
     v = Feistel(v, half_bits);
   } while (v >= n);
   return v;
+}
+
+DomainScrambler::DomainScrambler(uint64_t n) : n_(n) {
+  assert(n > 0);
+  if (n > kMaxTabulatedDomain) return;
+  perm_ = SharedTable<std::vector<uint16_t>>(n, [n] {
+    auto perm = std::make_shared<std::vector<uint16_t>>(n);
+    for (uint64_t v = 0; v < n; ++v) {
+      (*perm)[v] = static_cast<uint16_t>(ScrambleToDomain(v, n));
+    }
+    return perm;
+  });
 }
 
 }  // namespace fglb

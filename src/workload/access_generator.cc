@@ -17,11 +17,14 @@ uint64_t DrawCount(double mean, Rng& rng) {
 
 }  // namespace
 
-const ZipfGenerator& AccessGenerator::SamplerFor(uint64_t n, double theta) {
+const AccessGenerator::Sampler& AccessGenerator::SamplerFor(uint64_t n,
+                                                           double theta) {
   const auto key = std::make_pair(n, theta);
   auto it = samplers_.find(key);
   if (it == samplers_.end()) {
-    it = samplers_.emplace(key, ZipfGenerator(n, theta)).first;
+    it = samplers_
+             .emplace(key, Sampler{ZipfGenerator(n, theta), DomainScrambler(n)})
+             .first;
   }
   return it->second;
 }
@@ -31,15 +34,14 @@ void AccessGenerator::GeneratePointLookups(const AccessComponent& component,
                                            std::vector<PageAccess>* out) {
   const uint64_t region = component.EffectiveRegionPages();
   assert(region > 0);
-  const ZipfGenerator& zipf = SamplerFor(region, component.zipf_theta);
+  const Sampler& sampler = SamplerFor(region, component.zipf_theta);
   const uint64_t count = DrawCount(component.mean_pages, rng);
   out->reserve(out->size() + count);
   for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t rank = zipf.Sample(rng);
+    const uint64_t rank = sampler.zipf.Sample(rng);
     // Scramble so popular pages are spread over the region instead of
     // packed at its start (popularity, not position, is skewed).
-    const uint64_t offset =
-        component.region_offset + ScrambleToDomain(rank, region);
+    const uint64_t offset = component.region_offset + sampler.scramble(rank);
     PageAccess access;
     access.page = MakePageId(component.table, offset);
     access.kind = AccessKind::kRandom;

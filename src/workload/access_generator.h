@@ -11,9 +11,9 @@
 namespace fglb {
 
 // Expands a query template into the concrete page-reference string one
-// execution of it produces. Zipf samplers are cached per
-// (region size, theta) since building one is O(1) but not free and the
-// same components recur millions of times.
+// execution of it produces. Zipf samplers and rank scramblers are cached
+// per (region size, theta): the same components recur millions of
+// times, and their tables are shared by every generator in the process.
 class AccessGenerator {
  public:
   AccessGenerator() = default;
@@ -25,14 +25,19 @@ class AccessGenerator {
                 std::vector<PageAccess>* out);
 
  private:
-  const ZipfGenerator& SamplerFor(uint64_t n, double theta);
+  struct Sampler {
+    ZipfGenerator zipf;
+    DomainScrambler scramble;
+  };
+
+  const Sampler& SamplerFor(uint64_t n, double theta);
 
   void GeneratePointLookups(const AccessComponent& component, Rng& rng,
                             std::vector<PageAccess>* out);
   void GenerateSequentialScan(const AccessComponent& component, Rng& rng,
                               std::vector<PageAccess>* out);
 
-  std::map<std::pair<uint64_t, double>, ZipfGenerator> samplers_;
+  std::map<std::pair<uint64_t, double>, Sampler> samplers_;
 };
 
 }  // namespace fglb

@@ -270,9 +270,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   streaming_mrc_test opt_oracle_test arc_buffer_pool_test \
   tiered_buffer_pool_test tiered_replay_test fglb_sim_cli \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
-  recovery_test
+  recovery_test zipf_table_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ZipfTable'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \
@@ -286,8 +286,9 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
   span_tracer_test fault_injector_test chaos_soak_test replay_codec_test \
   replay_test sim_determinism_test scale_replay_test \
   streaming_mrc_test opt_oracle_test tiered_replay_test \
-  stats_channel_test controller_checkpoint_test recovery_test
+  stats_channel_test controller_checkpoint_test recovery_test \
+  zipf_table_test
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-  -R 'ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanConfig|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest'
+  -R 'ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanConfig|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest|ZipfTableSharing'
 
 echo "CI OK"
