@@ -4,6 +4,7 @@
 // helper's clamping.
 
 #include <algorithm>
+#include <ostream>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -84,8 +85,17 @@ TEST(OptOracleTest, ForwardDistancesOnTinyTrace) {
 
 // --- OPT dominance: no policy beats Belady ---
 
-class OptDominanceTest
-    : public ::testing::TestWithParam<std::vector<PageId> (*)()> {};
+// The trace maker is wrapped with a name so that the parameter prints
+// (and the discovered ctest name reads) the same in every run; a bare
+// function pointer prints its load address, which moves with ASLR.
+struct NamedTrace {
+  const char* name;
+  std::vector<PageId> (*make)();
+};
+
+void PrintTo(const NamedTrace& param, std::ostream* os) { *os << param.name; }
+
+class OptDominanceTest : public ::testing::TestWithParam<NamedTrace> {};
 
 std::vector<PageId> SkewedTrace() { return MakeZipfTrace(600, 0.9, 12000, 3); }
 std::vector<PageId> UniformTrace() { return MakeZipfTrace(800, 0.0, 12000, 5); }
@@ -98,7 +108,7 @@ std::vector<PageId> ScanTrace() {
 }
 
 TEST_P(OptDominanceTest, OptNeverExceedsLruAtAnyCacheSize) {
-  const std::vector<PageId> trace = GetParam()();
+  const std::vector<PageId> trace = GetParam().make();
   const MissRatioCurve lru =
       MissRatioCurve::FromTrace(std::span<const PageId>(trace));
   double previous = 1.0;
@@ -112,8 +122,9 @@ TEST_P(OptDominanceTest, OptNeverExceedsLruAtAnyCacheSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Traces, OptDominanceTest,
-                         ::testing::Values(&SkewedTrace, &UniformTrace,
-                                           &ScanTrace));
+                         ::testing::Values(NamedTrace{"skewed", &SkewedTrace},
+                                           NamedTrace{"uniform", &UniformTrace},
+                                           NamedTrace{"scan", &ScanTrace}));
 
 // --- Fenwick sweep vs brute force ---
 
