@@ -1,7 +1,9 @@
 #include "core/log_analyzer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <span>
 
 #include "mrc/opt_oracle.h"
 
@@ -157,10 +159,17 @@ LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
       // LRU-vs-Belady gap at the class's acceptable-memory point: how
       // much of the remaining miss ratio is replacement-policy regret
       // rather than genuine capacity need. O(window log window) — only
-      // paid when the oracle is explicitly enabled.
-      const std::vector<PageId> trace = engine_->stats().AccessWindow(job.key);
-      profile.regret_vs_opt = RegretVsOpt(
-          trace, job.rec.curve, job.rec.params.acceptable_memory_pages);
+      // paid when the oracle is explicitly enabled. OPT replays exactly
+      // the references the LRU curve covers (Recompute trims the window
+      // to the baseline's length): over a longer trace OPT would
+      // amortise cold misses the curve still pays.
+      const std::vector<PageId> window =
+          engine_->stats().AccessWindow(job.key);
+      const size_t covered = std::min<size_t>(
+          window.size(), job.rec.curve.total_accesses());
+      profile.regret_vs_opt =
+          RegretVsOpt(std::span<const PageId>(window).last(covered),
+                      job.rec.curve, job.rec.params.acceptable_memory_pages);
     }
     if (job.rec.suspect) {
       diagnosis.suspects.push_back(profile);

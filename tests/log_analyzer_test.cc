@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mrc/opt_oracle.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -163,6 +164,51 @@ TEST_F(LogAnalyzerTest, StableProfilesExceptFilters) {
   const auto without = analyzer_->StableProfilesExcept({bs});
   EXPECT_EQ(all.size(), without.size() + 1);
   for (const auto& p : without) EXPECT_NE(p.key, bs);
+}
+
+TEST(LogAnalyzerRegretTest, OptCoversTheSameAccessesAsTheLruCurve) {
+  // Recompute trims a window longer than the baseline to the
+  // baseline's length; regret must compare LRU and OPT over exactly
+  // those references, not OPT over the whole (longer) window.
+  DiskModel disk;
+  const ApplicationSpec app = MakeTpcw();
+  DatabaseEngine::Options options;
+  options.buffer_pool_pages = 4096;
+  options.access_window_capacity = 30000;
+  options.seed = 3;
+  DatabaseEngine engine("e", options, &disk);
+  MrcConfig mrc;
+  mrc.opt_regret = true;
+  LogAnalyzer analyzer(&engine, OutlierConfig{}, mrc);
+  QueryInstance q;
+  q.app = app.id;
+  q.tmpl = app.FindTemplate(kTpcwBestSeller);
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      engine.RecordCompletion(q.class_key(), 0.1, engine.Execute(q));
+    }
+  };
+  const ClassKey key = q.class_key();
+  while (engine.stats().AccessWindow(key).size() < 8000) run(1);
+  analyzer.RecordStableInterval(app.id, engine.stats().EndInterval(10.0),
+                                10.0);
+  ASSERT_NE(analyzer.StableParamsOf(key), nullptr);
+  run(600);
+
+  const auto diag = analyzer.DiagnoseMemory({key});
+  std::vector<ClassMemoryProfile> profiles = diag.suspects;
+  profiles.insert(profiles.end(), diag.cleared.begin(), diag.cleared.end());
+  ASSERT_EQ(profiles.size(), 1u);
+  const ClassMemoryProfile& profile = profiles[0];
+  ASSERT_NE(profile.curve, nullptr);
+  const std::vector<PageId> window = engine.stats().AccessWindow(key);
+  const size_t covered = profile.curve->total_accesses();
+  ASSERT_LT(covered, window.size());  // the window really was trimmed
+  const uint64_t quota = profile.params.acceptable_memory_pages;
+  const double expected = RegretVsOpt(
+      std::span<const PageId>(window).last(covered), *profile.curve, quota);
+  EXPECT_DOUBLE_EQ(profile.regret_vs_opt, expected);
+  EXPECT_NE(expected, RegretVsOpt(window, *profile.curve, quota));
 }
 
 }  // namespace
