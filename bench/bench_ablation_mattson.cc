@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "mrc/mattson_stack.h"
 #include "mrc/miss_ratio_curve.h"
+#include "reference/list_mattson_stack.h"
 
 namespace {
 
@@ -34,7 +35,7 @@ void BM_ListStack(benchmark::State& state) {
   const uint64_t pages = static_cast<uint64_t>(state.range(0));
   const auto trace = MakeTrace(pages, 0.6, 20000, 11);
   for (auto _ : state) {
-    ListMattsonStack stack;
+    reference::ListMattsonStack stack;
     for (PageId p : trace) benchmark::DoNotOptimize(stack.Access(p));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -96,12 +95,6 @@ class ResourceManager {
     return execution_timeout_seconds_;
   }
 
-  // Turns on streaming MRC estimation in every engine this manager
-  // owns — existing replicas immediately, future ones (controller
-  // provisioning, fault restarts) at creation.
-  void set_streaming_mrc(StreamingMrcEstimator::Options options);
-  bool streaming_mrc_enabled() const { return streaming_mrc_.has_value(); }
-
   // Buffer-hierarchy defaults baked into every engine created from now
   // on (controller provisioning and fault restarts included): the
   // replacement policy the DRAM partitions run and the second-tier
@@ -131,7 +124,6 @@ class ResourceManager {
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   double execution_timeout_seconds_ = 0;
-  std::optional<StreamingMrcEstimator::Options> streaming_mrc_;
   ReplacementPolicy engine_replacement_ = ReplacementPolicy::kLru;
   TierConfig engine_tier_;
   std::function<void(Replica*)> replica_observer_;

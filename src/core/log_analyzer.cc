@@ -1,9 +1,7 @@
 #include "core/log_analyzer.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <span>
 
 #include "mrc/opt_oracle.h"
 
@@ -49,24 +47,11 @@ void LogAnalyzer::RecordStableInterval(
     stable_store_.Update(key, vec, now);
     // First-time MRC baseline, computed "when a query class is first
     // scheduled on the system" — i.e. once enough of its accesses have
-    // been observed during stable operation. In streaming mode the
-    // baseline is a snapshot of the always-fresh estimator; no replay.
+    // been observed during stable operation.
     MrcTracker& tracker = TrackerFor(key);
     if (!tracker.has_stable()) {
-      const StreamingMrcEstimator* stream =
-          mrc_config_.mode == MrcMode::kStreaming
-              ? engine_->stats().StreamingFor(key)
-              : nullptr;
-      if (stream != nullptr &&
-          stream->in_window_accesses() >= kMinWindowForMrc) {
-        tracker.SetStableFromCurve(stream->Curve());
-      } else if (stream == nullptr) {
-        const SpanPair<PageId> window =
-            engine_->stats().AccessWindowSpans(key);
-        if (window.size() >= kMinWindowForMrc) {
-          tracker.SetStableFromTrace(window);
-        }
-      }
+      const SpanPair<PageId> window = engine_->stats().AccessWindowSpans(key);
+      if (window.size() >= kMinWindowForMrc) tracker.SetStableFromTrace(window);
     }
   }
 }
@@ -100,45 +85,28 @@ LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
     const std::set<ClassKey>& candidates) {
   const auto start = std::chrono::steady_clock::now();
   MemoryDiagnosis diagnosis;
-  // Phase 1 (serial): snapshot windows/streaming curves and materialize
-  // trackers — everything that touches shared maps. In streaming mode a
-  // warm estimator replaces the replay with an O(curve) snapshot taken
-  // here; a class without a warm estimator (streaming enabled mid-run)
-  // falls back to the replay path.
+  // Phase 1 (serial): snapshot windows and materialize trackers —
+  // everything that touches shared maps.
   struct Job {
     ClassKey key;
     SpanPair<PageId> window;
     MrcTracker* tracker;
-    bool streaming = false;
-    MissRatioCurve curve;  // streaming jobs only
     MrcTracker::Recomputation rec;
   };
   std::vector<Job> jobs;
   jobs.reserve(candidates.size());
   for (ClassKey key : candidates) {
-    const StreamingMrcEstimator* stream =
-        mrc_config_.mode == MrcMode::kStreaming
-            ? engine_->stats().StreamingFor(key)
-            : nullptr;
-    if (stream != nullptr &&
-        stream->in_window_accesses() >= kMinWindowForMrc) {
-      Job job{key, {}, &TrackerFor(key), true, stream->Curve(), {}};
-      jobs.push_back(std::move(job));
-      continue;
-    }
     const SpanPair<PageId> window = engine_->stats().AccessWindowSpans(key);
     if (window.size() < kMinWindowForMrc) {
       diagnosis.insufficient_data.push_back(key);
       continue;
     }
-    jobs.push_back(Job{key, window, &TrackerFor(key), false, {}, {}});
+    jobs.push_back(Job{key, window, &TrackerFor(key), {}});
   }
-  // Phase 2 (parallel): each job reads its own window snapshot or
-  // pre-taken curve and mutates only its own tracker's scratch stack
-  // and its own slot.
+  // Phase 2 (parallel): each job reads its own window snapshot and
+  // mutates only its own tracker's scratch stack and its own slot.
   auto run_job = [](Job& job) {
-    job.rec = job.streaming ? job.tracker->Diagnose(job.curve)
-                            : job.tracker->Recompute(job.window);
+    job.rec = job.tracker->Recompute(job.window);
   };
   if (jobs.size() > 1) {
     AnalysisPool().ParallelFor(jobs.size(),
@@ -163,13 +131,10 @@ LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
       // the references the LRU curve covers (Recompute trims the window
       // to the baseline's length): over a longer trace OPT would
       // amortise cold misses the curve still pays.
-      const std::vector<PageId> window =
-          engine_->stats().AccessWindow(job.key);
-      const size_t covered = std::min<size_t>(
-          window.size(), job.rec.curve.total_accesses());
-      profile.regret_vs_opt =
-          RegretVsOpt(std::span<const PageId>(window).last(covered),
-                      job.rec.curve, job.rec.params.acceptable_memory_pages);
+      const std::vector<PageId> covered =
+          job.window.Suffix(job.rec.curve.total_accesses()).ToVector();
+      profile.regret_vs_opt = RegretVsOpt(
+          covered, job.rec.curve, job.rec.params.acceptable_memory_pages);
     }
     if (job.rec.suspect) {
       diagnosis.suspects.push_back(profile);

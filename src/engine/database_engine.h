@@ -100,12 +100,6 @@ class DatabaseEngine {
     if (tier2_ != nullptr) tier2_->SetLatencyFactor(factor);
   }
 
-  // Turns on per-class streaming MRC estimation in the stats feed
-  // (forwarder; see StatsCollector::EnableStreamingMrc).
-  void EnableStreamingMrc(StreamingMrcEstimator::Options options) {
-    stats_.EnableStreamingMrc(options);
-  }
-
   // Execution-timeout accounting: completions slower than this count
   // as timed out ("engine.<name>.timeouts" when metrics are bound) —
   // the signal the admission layer's circuit breakers key off. 0 (the

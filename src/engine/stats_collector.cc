@@ -12,36 +12,12 @@ StatsCollector::PerClass& StatsCollector::ClassState(ClassKey key) {
   if (it == classes_.end()) {
     it = classes_.emplace(key, std::make_unique<PerClass>(window_capacity_))
              .first;
-    if (streaming_mrc_.has_value()) {
-      it->second->stream =
-          std::make_unique<StreamingMrcEstimator>(*streaming_mrc_);
-    }
   }
   return *it->second;
 }
 
-void StatsCollector::EnableStreamingMrc(
-    StreamingMrcEstimator::Options options) {
-  if (options.window_accesses == 0) options.window_accesses = window_capacity_;
-  streaming_mrc_ = options;
-  for (auto& [key, state] : classes_) {
-    if (state->stream == nullptr) {
-      state->stream = std::make_unique<StreamingMrcEstimator>(options);
-    }
-  }
-}
-
-const StreamingMrcEstimator* StatsCollector::StreamingFor(
-    ClassKey key) const {
-  auto it = classes_.find(key);
-  if (it == classes_.end()) return nullptr;
-  return it->second->stream.get();
-}
-
 void StatsCollector::RecordPageAccess(ClassKey key, PageId page) {
-  PerClass& state = ClassState(key);
-  state.window.Push(page);
-  if (state.stream != nullptr) state.stream->Record(page);
+  ClassState(key).window.Push(page);
 }
 
 void StatsCollector::RecordQuery(ClassKey key, double latency_seconds,

@@ -2,11 +2,10 @@
 #define FGLB_MRC_MATTSON_STACK_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "mrc/fenwick_tree.h"
 #include "storage/page.h"
 
 namespace fglb {
@@ -17,7 +16,9 @@ namespace fglb {
 // thanks to LRU's inclusion property. hit_counts()[d] is the number of
 // references that hit at stack depth d+1, i.e. that a cache of at least
 // d+1 pages would have satisfied; cold_misses() counts first-ever
-// references (the paper's Hit[infinity]).
+// references (the paper's Hit[infinity]). Virtual so tests can
+// substitute the list oracle (tests/reference/list_mattson_stack.h)
+// wherever a stack is replayed.
 class MattsonStack {
  public:
   virtual ~MattsonStack() = default;
@@ -35,26 +36,6 @@ class MattsonStack {
   virtual uint64_t cold_misses() const = 0;
   virtual uint64_t total_accesses() const = 0;
   virtual uint64_t distinct_pages() const = 0;
-};
-
-// Reference implementation: explicit LRU list, linear depth search.
-// O(depth) per access — simple and obviously correct, used as the
-// oracle in tests and for short traces.
-class ListMattsonStack final : public MattsonStack {
- public:
-  uint64_t Access(PageId page) override;
-  void Reset() override;
-  const std::vector<uint64_t>& hit_counts() const override { return hits_; }
-  uint64_t cold_misses() const override { return cold_misses_; }
-  uint64_t total_accesses() const override { return total_; }
-  uint64_t distinct_pages() const override { return index_.size(); }
-
- private:
-  std::list<PageId> stack_;  // front = most recently used
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_;
-  std::vector<uint64_t> hits_;
-  uint64_t cold_misses_ = 0;
-  uint64_t total_ = 0;
 };
 
 // Production implementation: O(log n) per access using a Fenwick tree
@@ -83,12 +64,10 @@ class FenwickMattsonStack final : public MattsonStack {
   uint64_t capacity_rebuilds() const { return capacity_rebuilds_; }
 
  private:
-  void FenwickAdd(size_t slot, int64_t delta);
-  uint64_t FenwickPrefixSum(size_t slot) const;  // sum of slots [0, slot]
   void EnsureCapacity(size_t slot);
   void CompactIfSparse();
 
-  std::vector<int64_t> tree_;                    // 1-based Fenwick tree
+  FenwickTree marks_;                             // 1 per page's newest slot
   std::unordered_map<PageId, size_t> last_slot_;  // page -> newest slot
   size_t next_slot_ = 0;
   uint64_t marked_ = 0;  // number of live (marked) slots
@@ -97,13 +76,6 @@ class FenwickMattsonStack final : public MattsonStack {
   uint64_t total_ = 0;
   uint64_t capacity_rebuilds_ = 0;
 };
-
-// Factory used where the implementation choice is a tuning knob.
-// `expected_accesses` is a capacity hint (used by the Fenwick
-// implementation; ignored by the list oracle).
-enum class MattsonImpl { kList, kFenwick };
-std::unique_ptr<MattsonStack> MakeMattsonStack(MattsonImpl impl,
-                                               size_t expected_accesses = 0);
 
 }  // namespace fglb
 

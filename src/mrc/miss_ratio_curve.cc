@@ -19,29 +19,12 @@ std::string MrcParameters::ToString() const {
   return buf;
 }
 
-const char* MrcModeName(MrcMode mode) {
-  switch (mode) {
-    case MrcMode::kRecompute:
-      return "recompute";
-    case MrcMode::kStreaming:
-      return "streaming";
-  }
-  return "unknown";
-}
-
-bool ParseMrcMode(const std::string& text, MrcMode* out) {
-  if (text == "recompute") *out = MrcMode::kRecompute;
-  else if (text == "streaming") *out = MrcMode::kStreaming;
-  else return false;
-  return true;
-}
-
 std::string MrcSpecString(const MrcConfig& config) {
-  if (config.mode == MrcMode::kRecompute && !config.opt_regret) return "";
-  std::string spec = std::string("mode=") + MrcModeName(config.mode);
-  spec += ",opt_regret=";
-  spec += config.opt_regret ? '1' : '0';
-  return spec;
+  if (!config.opt_regret) return "";
+  // "mode=recompute" is written for format compatibility: captures
+  // written while the mode was a knob carry it, and byte-identical
+  // captures keep it.
+  return "mode=recompute,opt_regret=1";
 }
 
 bool ParseMrcSpec(const std::string& text, MrcConfig* config,
@@ -60,7 +43,9 @@ bool ParseMrcSpec(const std::string& text, MrcConfig* config,
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "mode") {
-      if (!ParseMrcMode(value, &config->mode)) {
+      // Format compatibility: older captures name the retired streaming
+      // estimator; either mode now means window recomputation.
+      if (value != "recompute" && value != "streaming") {
         if (error != nullptr) *error = "unknown mrc mode: " + value;
         return false;
       }
@@ -117,11 +102,10 @@ MissRatioCurve MissRatioCurve::FromHistogram(std::span<const uint64_t> hits,
   return curve;
 }
 
-MissRatioCurve MissRatioCurve::FromTrace(std::span<const PageId> trace,
-                                         MattsonImpl impl) {
-  auto stack = MakeMattsonStack(impl, trace.size());
-  for (PageId page : trace) stack->Access(page);
-  return FromStack(*stack);
+MissRatioCurve MissRatioCurve::FromTrace(std::span<const PageId> trace) {
+  FenwickMattsonStack stack(trace.size());
+  for (PageId page : trace) stack.Access(page);
+  return FromStack(stack);
 }
 
 MissRatioCurve MissRatioCurve::FromTrace(SpanPair<PageId> trace,
@@ -143,7 +127,7 @@ std::unique_ptr<MattsonStack> MissRatioCurve::MakeReplayStack(
     return std::make_unique<SampledMattsonStack>(config.sample_rate,
                                                  expected_accesses);
   }
-  return MakeMattsonStack(config.impl, expected_accesses);
+  return std::make_unique<FenwickMattsonStack>(expected_accesses);
 }
 
 double MissRatioCurve::MissRatioAt(uint64_t pages) const {

@@ -61,22 +61,10 @@ class MrcTracker {
     return Recompute(SpanPair<PageId>(trace));
   }
 
-  // Streaming-mode counterpart of Recompute: diagnoses an
-  // already-computed curve (from a StreamingMrcEstimator snapshot)
-  // against the baseline without any replay. The curve is taken as-is;
-  // the estimator's own window bounds the trace length, so no
-  // baseline-length trimming applies.
-  Recomputation Diagnose(const MissRatioCurve& curve) const;
-
-  // Installs an externally computed curve as the stable baseline
-  // (streaming-mode analogue of SetStableFromTrace).
-  void SetStableFromCurve(const MissRatioCurve& curve);
-
   size_t stable_trace_length() const { return stable_trace_length_; }
 
-  // Checkpoint support: reinstalls a serialized stable baseline
-  // without disturbing the trace-length bookkeeping the way
-  // SetStableFromCurve would (parameters are re-derived from the curve
+  // Checkpoint support: reinstalls a serialized stable baseline with
+  // its trace length (parameters are re-derived from the curve
   // deterministically, so the restored tracker diagnoses identically).
   void RestoreStable(const MissRatioCurve& curve, size_t trace_length) {
     stable_curve_ = curve;

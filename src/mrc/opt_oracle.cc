@@ -5,31 +5,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "mrc/fenwick_tree.h"
+
 namespace fglb {
 
 namespace {
-
-// Minimal 1-based Fenwick over trace positions.
-class PositionFenwick {
- public:
-  explicit PositionFenwick(size_t n) : tree_(n + 1, 0) {}
-
-  void Add(size_t pos, int64_t delta) {
-    for (size_t i = pos + 1; i < tree_.size(); i += i & (~i + 1)) {
-      tree_[i] += delta;
-    }
-  }
-
-  // Sum over positions [0, pos].
-  int64_t PrefixSum(size_t pos) const {
-    int64_t sum = 0;
-    for (size_t i = pos + 1; i > 0; i -= i & (~i + 1)) sum += tree_[i];
-    return sum;
-  }
-
- private:
-  std::vector<int64_t> tree_;
-};
 
 // next[i] = index of the next occurrence of trace[i], or n if none.
 std::vector<size_t> NextOccurrences(std::span<const PageId> trace) {
@@ -62,7 +42,7 @@ std::vector<uint64_t> OptForwardDistances(std::span<const PageId> trace) {
   // occurrence, displacing the mark at next[i+1] if one exists. The
   // distance for i is then the number of marks strictly between i and
   // next[i] — snippet-style forward stack distance.
-  PositionFenwick marks(n);
+  FenwickTree marks(n);
   for (size_t i = n; i-- > 0;) {
     if (i + 1 < n) {
       marks.Add(i + 1, +1);
@@ -70,8 +50,7 @@ std::vector<uint64_t> OptForwardDistances(std::span<const PageId> trace) {
     }
     const size_t m = next[i];
     if (m < n) {
-      result[i] = static_cast<uint64_t>(marks.PrefixSum(m) -
-                                        marks.PrefixSum(i) - 1);
+      result[i] = marks.PrefixSum(m) - marks.PrefixSum(i) - 1;
     }
   }
   return result;

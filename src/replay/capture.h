@@ -61,8 +61,7 @@ struct CaptureInfo {
   // tracing off. Also a trailing optional field.
   std::string span_spec;
   // MrcSpecString() of the run's MRC diagnosis configuration; empty =
-  // all defaults (recompute mode, no OPT regret). Also a trailing
-  // optional field.
+  // all defaults (no OPT regret). Also a trailing optional field.
   std::string mrc_spec;
   // TierConfig::ToString() of the engines' second-tier cache; empty =
   // tierless (the pre-tier behaviour). Also a trailing optional field.
@@ -174,7 +173,7 @@ struct Capture {
   const ApplicationSpec* FindApp(AppId app) const;
 };
 
-// Streaming capture writer. Hook it into a live run via
+// Incremental capture writer. Hook it into a live run via
 // ClusterHarness::AttachRecorders(); events are buffered and flushed
 // as CRC-guarded blocks once the buffer passes a threshold, so capture
 // cost stays O(bytes) with no per-event I/O.

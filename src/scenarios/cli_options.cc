@@ -96,9 +96,6 @@ usage: fglb_sim [options]
   --mrc-threads=N   diagnosis worker threads; 0 = all cores (default 0)
   --mrc-sample-rate=R  Mattson replay sampling rate in (0,1];
                     1 = exact, 0.125 ~ 8x cheaper           (default 1)
-  --mrc-mode=MODE   recompute | streaming: replay the access window
-                    at diagnosis time, or read the per-class
-                    incremental estimators            (default recompute)
   --mrc-opt-regret  attach the LRU-vs-Belady miss-ratio gap to every
                     diagnosed class (phase=mrc "regret_vs_opt")
   --trace-out=FILE  write the controller's JSONL decision trace
@@ -211,9 +208,6 @@ bool ParseCliOptions(const std::vector<std::string>& args,
     } else if (key == "mrc-sample-rate") {
       ok = ParseDouble(value, &options->mrc_sample_rate) &&
            options->mrc_sample_rate > 0 && options->mrc_sample_rate <= 1;
-    } else if (key == "mrc-mode") {
-      ok = value == "recompute" || value == "streaming";
-      options->mrc_mode = value;
     } else if (key == "mrc-opt-regret") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
       options->mrc_opt_regret = value == "on" || value == "1";

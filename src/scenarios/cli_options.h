@@ -64,10 +64,6 @@ struct CliOptions {
   // pages and scales counts back up).
   int mrc_threads = 0;
   double mrc_sample_rate = 1.0;
-  // How the diagnosis phase obtains curves: "recompute" replays the
-  // access window on demand (the paper's behaviour, the differential
-  // reference); "streaming" reads per-class incremental estimators.
-  std::string mrc_mode = "recompute";
   // Attach the LRU-vs-Belady regret to every diagnosed class profile
   // (phase=mrc trace events gain "regret_vs_opt"). Costs an OPT
   // simulation over the access window per diagnosed class.

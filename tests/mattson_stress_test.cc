@@ -2,9 +2,12 @@
 
 #include "common/random.h"
 #include "mrc/mattson_stack.h"
+#include "reference/list_mattson_stack.h"
 
 namespace fglb {
 namespace {
+
+using reference::ListMattsonStack;
 
 // Stress paths of the Fenwick stack: slot-space compaction (long trace,
 // few pages) and tree growth (many distinct pages), verified against

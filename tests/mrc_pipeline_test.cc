@@ -19,6 +19,7 @@
 #include "mrc/miss_ratio_curve.h"
 #include "mrc/mrc_tracker.h"
 #include "mrc/sampled_mattson_stack.h"
+#include "reference/list_mattson_stack.h"
 #include "storage/disk_model.h"
 
 namespace fglb {
@@ -179,8 +180,9 @@ TEST_P(SampledAccuracyTest, ParametersWithinTolerance) {
   MrcConfig config;
   config.max_server_pages = 16384;
 
-  const MissRatioCurve exact_curve =
-      MissRatioCurve::FromTrace(trace, MattsonImpl::kList);
+  reference::ListMattsonStack oracle;
+  const MissRatioCurve exact_curve = MissRatioCurve::Replay(
+      SpanPair<PageId>(std::span<const PageId>(trace)), oracle);
   const MrcParameters exact = exact_curve.ComputeParameters(config);
 
   MrcConfig sampled_config = config;

@@ -1,5 +1,6 @@
 #include "mrc/mattson_stack.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,10 +9,13 @@
 #include "mrc/miss_ratio_curve.h"
 #include "mrc/mrc_tracker.h"
 #include "mrc/sampled_mattson_stack.h"
+#include "reference/list_mattson_stack.h"
 #include "storage/buffer_pool.h"
 
 namespace fglb {
 namespace {
+
+using reference::ListMattsonStack;
 
 std::vector<PageId> MakeZipfTrace(uint64_t pages, double theta, size_t n,
                                   uint64_t seed) {
@@ -288,6 +292,55 @@ TEST(SampledMattsonStackTest, RateStepCorrectionRecomputedPerSnapshot) {
   // references plus whatever deficit/excess phase 1 left behind.
   ASSERT_FALSE(second.empty());
   EXPECT_EQ(static_cast<int64_t>(second[0]), phase1_residual + 8000);
+}
+
+// --- Capture spec (FGLBCAP1 info "mrc_spec") ---
+
+TEST(MrcSpecTest, RoundTripsThroughSpecString) {
+  MrcConfig config;
+  EXPECT_EQ(MrcSpecString(config), "");  // defaults stay capture-compatible
+
+  config.opt_regret = true;
+  const std::string spec = MrcSpecString(config);
+  EXPECT_FALSE(spec.empty());
+  MrcConfig parsed;
+  std::string error;
+  ASSERT_TRUE(ParseMrcSpec(spec, &parsed, &error)) << error;
+  EXPECT_TRUE(parsed.opt_regret);
+
+  MrcConfig bad;
+  EXPECT_FALSE(ParseMrcSpec("mode=bogus", &bad, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(MrcSpecTest, WriterBytesAreUnchanged) {
+  // Captures are compared byte for byte across versions.
+  MrcConfig config;
+  EXPECT_EQ(MrcSpecString(config), "");
+  config.opt_regret = true;
+  EXPECT_EQ(MrcSpecString(config), "mode=recompute,opt_regret=1");
+}
+
+TEST(MrcSpecTest, LegacyStreamingSpecParses) {
+  std::string error;
+  MrcConfig with_regret;
+  ASSERT_TRUE(
+      ParseMrcSpec("mode=streaming,opt_regret=1", &with_regret, &error))
+      << error;
+  EXPECT_TRUE(with_regret.opt_regret);
+  MrcConfig without_regret;
+  ASSERT_TRUE(
+      ParseMrcSpec("mode=streaming,opt_regret=0", &without_regret, &error))
+      << error;
+  EXPECT_FALSE(without_regret.opt_regret);
+}
+
+TEST(MrcSpecTest, RejectsUnknownMode) {
+  MrcConfig config;
+  std::string error;
+  EXPECT_FALSE(ParseMrcSpec("mode=bogus,opt_regret=1", &config, &error));
+  EXPECT_NE(error.find("bogus"), std::string::npos);
+  EXPECT_FALSE(config.opt_regret);
 }
 
 TEST(MrcTrackerTest, AdoptSilencesSuspicion) {

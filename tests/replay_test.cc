@@ -1,7 +1,9 @@
 // Deterministic replay: a capture of a live run, replayed through
 // ReplayRunner, must reproduce the controller's decision trace
 // byte-for-byte (the --phase=action projection), for a clean scenario
-// and for one running under an injected fault schedule. Plus the
+// and for one running under an injected fault schedule; replayed MRC
+// diagnoses (OPT regret included) must equal the live run's, also for a
+// capture whose mrc spec names the retired streaming mode. Plus the
 // what-if evaluator's agreement with the live controller's choice.
 
 #include <cstdio>
@@ -199,6 +201,107 @@ TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {
     EXPECT_EQ(replayed[i].app, capture.actions[i].app);
     EXPECT_EQ(replayed[i].description, capture.actions[i].description);
   }
+  std::remove(path.c_str());
+}
+
+// Runs live consolidation with OPT regret on, capturing to
+// `capture_path` under the info mrc spec `mrc_spec`, and returns the
+// live controller's diagnoses.
+std::vector<SelectiveRetuner::DiagnosisRecord> RunLiveWithRegret(
+    const std::string& capture_path, const std::string& mrc_spec,
+    double duration) {
+  const uint64_t seed = 1;
+  SelectiveRetuner::Config config;
+  config.mrc.opt_regret = true;
+  ClusterHarness harness(config);
+  AssembleConsolidation(&harness, duration, seed);
+
+  CaptureWriter writer(&harness.sim());
+  CaptureInfo info;
+  info.seed = seed;
+  info.scenario = "consolidation";
+  info.duration_seconds = duration;
+  info.interval_seconds = harness.retuner().config().interval_seconds;
+  info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
+  info.mrc_spec = mrc_spec;
+  std::string error;
+  EXPECT_TRUE(writer.Open(capture_path, info, SnapshotTopology(harness),
+                          &error))
+      << error;
+  harness.AttachRecorders(&writer, &writer);
+  harness.Start();
+  harness.RunFor(duration);
+  EXPECT_TRUE(writer.Finalize(harness.retuner().actions(),
+                              harness.retuner().samples()));
+  return harness.retuner().diagnoses();
+}
+
+void ExpectSameDiagnoses(
+    const std::vector<SelectiveRetuner::DiagnosisRecord>& live,
+    const std::vector<SelectiveRetuner::DiagnosisRecord>& replayed) {
+  ASSERT_EQ(live.size(), replayed.size());
+  const auto same_profiles = [](const std::vector<ClassMemoryProfile>& x,
+                                const std::vector<ClassMemoryProfile>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].key, y[i].key);
+      EXPECT_EQ(x[i].params.total_memory_pages,
+                y[i].params.total_memory_pages);
+      EXPECT_EQ(x[i].params.acceptable_memory_pages,
+                y[i].params.acceptable_memory_pages);
+      EXPECT_EQ(x[i].params.ideal_miss_ratio, y[i].params.ideal_miss_ratio);
+      EXPECT_EQ(x[i].params.acceptable_miss_ratio,
+                y[i].params.acceptable_miss_ratio);
+      EXPECT_GE(x[i].regret_vs_opt, 0.0);
+      EXPECT_EQ(x[i].regret_vs_opt, y[i].regret_vs_opt);
+    }
+  };
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].time, replayed[i].time);
+    EXPECT_EQ(live[i].app, replayed[i].app);
+    EXPECT_EQ(live[i].replica_id, replayed[i].replica_id);
+    same_profiles(live[i].memory.suspects, replayed[i].memory.suspects);
+    same_profiles(live[i].memory.cleared, replayed[i].memory.cleared);
+    EXPECT_EQ(live[i].memory.insufficient_data,
+              replayed[i].memory.insufficient_data);
+  }
+}
+
+TEST(ReplayTest, LiveAndReplayedRegretDiagnosesAreIdentical) {
+  const std::string path = TempPath("fglb_replay_regret.fglbcap");
+  MrcConfig mrc;
+  mrc.opt_regret = true;
+  const auto live = RunLiveWithRegret(path, MrcSpecString(mrc), 300);
+  // The run must actually reach phase mrc, or identity over an empty
+  // diagnosis list would prove nothing.
+  ASSERT_FALSE(live.empty());
+
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  EXPECT_EQ(capture.info.mrc_spec, "mode=recompute,opt_regret=1");
+  ReplayRunner runner(&capture, ReplayBuildOptions{});
+  ASSERT_TRUE(runner.Build(&error)) << error;
+  EXPECT_TRUE(runner.harness()->retuner().config().mrc.opt_regret);
+  ASSERT_TRUE(runner.Run(&error)) << error;
+  ExpectSameDiagnoses(live, runner.harness()->retuner().diagnoses());
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, LegacyStreamingModeCaptureBuildsUnderRecompute) {
+  // Captures taken while a streaming estimator could replace window
+  // recomputation say so in their info block; they must still build,
+  // keep their regret setting, and replay through recomputation.
+  const std::string path = TempPath("fglb_replay_legacy_streaming.fglbcap");
+  RunLiveWithRegret(path, "mode=streaming,opt_regret=1", 60);
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  EXPECT_EQ(capture.info.mrc_spec, "mode=streaming,opt_regret=1");
+  ReplayRunner runner(&capture, ReplayBuildOptions{});
+  ASSERT_TRUE(runner.Build(&error)) << error;
+  EXPECT_TRUE(runner.harness()->retuner().config().mrc.opt_regret);
+  ASSERT_TRUE(runner.Run(&error)) << error;
   std::remove(path.c_str());
 }
 
