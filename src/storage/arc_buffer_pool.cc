@@ -22,7 +22,7 @@ std::list<PageId>& ArcBufferPool::ListOf(List which) {
   return t1_;
 }
 
-void ArcBufferPool::MoveTo(PageId page, Slot& slot, List to) {
+void ArcBufferPool::MoveTo(Slot& slot, List to) {
   std::list<PageId>& dest = ListOf(to);
   dest.splice(dest.begin(), ListOf(slot.where), slot.it);
   slot.where = to;
@@ -43,7 +43,7 @@ void ArcBufferPool::Replace(bool ghost_hit_in_b2) {
       (t1_.size() > p_ || (ghost_hit_in_b2 && t1_.size() == p_) ||
        t2_.empty());
   const PageId victim = from_t1 ? t1_.back() : t2_.back();
-  MoveTo(victim, map_.at(victim), from_t1 ? List::kB1 : List::kB2);
+  MoveTo(map_.at(victim), from_t1 ? List::kB1 : List::kB2);
   ++stats_.evictions;
   NotifyEvicted(victim);
 }
@@ -59,7 +59,7 @@ bool ArcBufferPool::Access(PageId page) {
   if (it != map_.end() &&
       (it->second.where == List::kT1 || it->second.where == List::kT2)) {
     // Case I: resident hit — promote to the frequency list.
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     ++stats_.hits;
     return true;
   }
@@ -70,7 +70,7 @@ bool ArcBufferPool::Access(PageId page) {
         std::max<uint64_t>(1, b2_.size() / std::max<size_t>(1, b1_.size()));
     p_ = std::min(c, p_ + delta);
     Replace(false);
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     return false;
   }
   if (it != map_.end() && it->second.where == List::kB2) {
@@ -79,7 +79,7 @@ bool ArcBufferPool::Access(PageId page) {
         std::max<uint64_t>(1, b1_.size() / std::max<size_t>(1, b2_.size()));
     p_ = p_ > delta ? p_ - delta : 0;
     Replace(true);
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     return false;
   }
   // Case IV: cold miss.

@@ -68,8 +68,8 @@ class ArcBufferPool : public PageCache {
   };
 
   std::list<PageId>& ListOf(List which);
-  // Moves `page` (present in `slot`) to the MRU end of `to`.
-  void MoveTo(PageId page, Slot& slot, List to);
+  // Moves the page `slot` tracks to the MRU end of `to`.
+  void MoveTo(Slot& slot, List to);
   // Drops the LRU entry of `which` from the list and the map.
   void DropLru(List which);
   // ARC's REPLACE: evicts the LRU page of T1 or T2 into its ghost

@@ -8,12 +8,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/quota_planner.h"
 #include "mrc/miss_ratio_curve.h"
+#include "storage/partitioned_buffer_pool.h"
 #include "storage/tiered_buffer_pool.h"
 #include "workload/query_class.h"
 
@@ -176,6 +179,82 @@ TEST(TieredBufferPoolTest, LatencyFactorScalesHitServiceTime) {
   EXPECT_DOUBLE_EQ(tier.HitServiceSeconds(), 2500e-6);
   tier.SetLatencyFactor(1);
   EXPECT_DOUBLE_EQ(tier.HitServiceSeconds(), 250e-6);
+}
+
+// Resident pages of `level` among `pages`: a count plus an FNV-1a
+// digest of the resident ids in `pages` order.
+template <typename Level>
+std::pair<uint64_t, uint64_t> Residency(const Level& level, PartitionKey key,
+                                        const std::vector<PageId>& pages) {
+  uint64_t count = 0;
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  for (PageId page : pages) {
+    if (!level.Contains(key, page)) continue;
+    ++count;
+    digest = (digest ^ page) * 0x100000001B3ULL;
+  }
+  return {count, digest};
+}
+
+// DRAM and tier churning together the way the engine drives them: a
+// hot class with dedicated quotas in both levels, and a scan class in
+// the shared regions whose sequential run lands whole read-ahead
+// extents. Every DRAM eviction demotes, every random DRAM miss probes
+// the tier, and the quotas shrink mid-trace. The counters and final
+// residency pin the pools' exact LRU behaviour; they were recorded
+// from the std::list pool this flat one replaced.
+TEST(TieredBufferPoolTest, DramAndTierChurnPinsCounters) {
+  PartitionedBufferPool dram(160);
+  TieredBufferPool tier(MakeTier(192));
+  dram.SetEvictionListener(
+      [&tier](PartitionKey key, PageId page) { tier.Demote(key, page); });
+  const PartitionKey hot = MakeClassKey(1, 1);
+  const PartitionKey scan = MakeClassKey(1, 2);
+  ASSERT_TRUE(dram.SetQuota(hot, 32));
+  ASSERT_TRUE(tier.SetQuota(hot, 48));
+
+  Rng rng(15);
+  uint64_t cursor = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (step == 10000) {
+      ASSERT_TRUE(dram.SetQuota(hot, 24));
+      ASSERT_TRUE(tier.SetQuota(hot, 32));
+    }
+    const uint64_t pick = rng.NextUint64(10);
+    if (pick < 8) {
+      const PartitionKey key = pick < 5 ? hot : scan;
+      const PageId page = pick < 5 ? MakePageId(1, rng.NextUint64(112))
+                                   : MakePageId(2, rng.NextUint64(320));
+      if (!dram.Access(key, page)) tier.PromoteHit(key, page);
+      continue;
+    }
+    const PageId page = MakePageId(2, cursor);
+    cursor = (cursor + 1) % 1024;
+    if (!dram.Contains(scan, page)) {
+      const uint64_t start = OffsetOf(page) - OffsetOf(page) % kExtentPages;
+      for (uint64_t i = 0; i < kExtentPages; ++i) {
+        dram.Insert(scan, MakePageId(2, start + i));
+      }
+    }
+    dram.Access(scan, page);
+  }
+
+  EXPECT_EQ(tier.demotions(), 15484u);
+  EXPECT_EQ(tier.promotions(), 5046u);
+  EXPECT_EQ(tier.tier_misses(), 6835u);
+  EXPECT_EQ(tier.resident_pages(), 192u);
+
+  std::vector<PageId> hot_pages, scan_pages;
+  for (uint64_t i = 0; i < 112; ++i) hot_pages.push_back(MakePageId(1, i));
+  for (uint64_t i = 0; i < 1024; ++i) scan_pages.push_back(MakePageId(2, i));
+  EXPECT_EQ(Residency(dram, hot, hot_pages),
+            std::make_pair(uint64_t{24}, uint64_t{8325910851166596329ULL}));
+  EXPECT_EQ(Residency(dram, scan, scan_pages),
+            std::make_pair(uint64_t{136}, uint64_t{3860405626871140458ULL}));
+  EXPECT_EQ(Residency(tier, hot, hot_pages),
+            std::make_pair(uint64_t{32}, uint64_t{18349858909114581081ULL}));
+  EXPECT_EQ(Residency(tier, scan, scan_pages),
+            std::make_pair(uint64_t{160}, uint64_t{10055237744661222955ULL}));
 }
 
 // --- two-level curve read-out -----------------------------------------
