@@ -61,7 +61,7 @@ Outcome Run(bool guard, bool lossy) {
   ClusterHarness harness(config);
   StatsChannelConfig channel_config;
   channel_config.guard = guard;
-  harness.EnableStatsChannel(channel_config);
+  harness.ConfigureStatsChannel(channel_config);
   harness.AddServers(3);
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());
   RubisOptions rubis_options;

@@ -45,8 +45,8 @@ struct StatsChannelConfig {
 // controller: per-replica sequenced, CRC-guarded interval reports
 // delivered through the DES. Every report is serialized and decoded
 // even on the healthy path (bit-exact: doubles travel as IEEE-754
-// bits), so the codec is exercised constantly and a fault-free run is
-// byte-identical to the pre-channel direct handoff. An injected `net`
+// bits), so the codec is exercised constantly and a fault-free run
+// decides exactly as a direct read of the collectors would. An injected `net`
 // fault window makes delivery lossy: reports can be dropped,
 // duplicated, corrupted (rejected by CRC at the receiver), delayed or
 // reordered behind the next report.
@@ -114,6 +114,7 @@ class StatsChannel {
   void ResetReceiverState() { receivers_.clear(); }
 
   const StatsChannelConfig& config() const { return config_; }
+  void set_config(const StatsChannelConfig& config) { config_ = config; }
 
  private:
   struct Receiver {

@@ -39,14 +39,15 @@ void AppendClassFields(std::string* out, ClassKey key) {
 }  // namespace
 
 SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
-                                   Config config)
+                                   StatsChannel* channel, Config config)
     : sim_(sim),
       resources_(resources),
       config_(config),
+      channel_(channel),
       metrics_(config.metrics),
       trace_(config.trace),
       spans_(config.spans) {
-  assert(sim_ && resources_);
+  assert(sim_ && resources_ && channel_);
   if (metrics_ != nullptr) {
     tick_us_ = metrics_->histogram("controller.tick_us");
     violations_ = metrics_->counter("controller.violations");
@@ -184,30 +185,25 @@ void SelectiveRetuner::BeginViolationScope(
       .Int("streak", violation_streak_[scope_.app])
       .Int("servers_used", resources_->ServersUsedBy(*scheduler))
       .Num("dur_us", end_interval_us);
-  if (channel_ != nullptr) {
-    // Telemetry health of this app's replica set; absent without a
-    // channel so pre-channel traces replay byte-identical.
-    double min_conf = 1.0;
-    int stale = 0;
-    for (Replica* r : scheduler->replicas()) {
-      const auto it = feeds_.find(r->id());
-      if (it == feeds_.end()) continue;
-      min_conf = std::min(min_conf, it->second.confidence);
-      if (!it->second.fresh) ++stale;
-    }
-    event.Num("stats_conf", min_conf).Int("stale_replicas", stale);
+  // Telemetry health of this app's replica set.
+  double min_conf = 1.0;
+  int stale = 0;
+  for (Replica* r : scheduler->replicas()) {
+    const auto it = feeds_.find(r->id());
+    if (it == feeds_.end()) continue;
+    min_conf = std::min(min_conf, it->second.confidence);
+    if (!it->second.fresh) ++stale;
   }
+  event.Num("stats_conf", min_conf).Int("stale_replicas", stale);
   trace_->Emit(event);
 }
 
 bool SelectiveRetuner::FeedFresh(int replica_id) const {
-  if (channel_ == nullptr) return true;
   const auto it = feeds_.find(replica_id);
   return it == feeds_.end() || it->second.fresh;
 }
 
 double SelectiveRetuner::FeedConfidence(int replica_id) const {
-  if (channel_ == nullptr) return 1.0;
   const auto it = feeds_.find(replica_id);
   return it == feeds_.end() ? 1.0 : it->second.confidence;
 }
@@ -440,35 +436,28 @@ void SelectiveRetuner::Tick() {
   sample.time = sim_->Now();
 
   // 1. Close the interval on every engine and server (order: replicas
-  // in creation order for determinism). With a stats channel attached
-  // every report travels publish -> deliver -> collect, so the
-  // controller sees the channel's (possibly stale) view; without one
-  // the handoff stays direct.
+  // in creation order for determinism). Every report travels publish ->
+  // deliver -> collect, so the controller sees the channel's (possibly
+  // stale) view.
   const std::vector<Replica*> replicas = resources_->AllReplicas();
   std::map<Replica*, Snapshot> snapshots;
   feeds_.clear();
-  if (channel_ != nullptr) {
-    std::vector<int> live;
-    live.reserve(replicas.size());
-    for (Replica* r : replicas) live.push_back(r->id());
-    channel_->Retain(live);
-    for (Replica* r : replicas) {
-      channel_->Publish(r->id(), r->engine().stats().EndInterval(interval),
-                        interval);
-    }
-    for (Replica* r : replicas) {
-      const StatsChannel::Feed feed = channel_->Collect(r->id());
-      snapshots.emplace(r, *feed.snapshot);
-      FeedState fs;
-      fs.fresh = feed.fresh;
-      fs.stale_intervals = feed.stale_intervals;
-      fs.confidence = feed.confidence;
-      feeds_[r->id()] = fs;
-    }
-  } else {
-    for (Replica* r : replicas) {
-      snapshots.emplace(r, r->engine().stats().EndInterval(interval));
-    }
+  std::vector<int> live;
+  live.reserve(replicas.size());
+  for (Replica* r : replicas) live.push_back(r->id());
+  channel_->Retain(live);
+  for (Replica* r : replicas) {
+    channel_->Publish(r->id(), r->engine().stats().EndInterval(interval),
+                      interval);
+  }
+  for (Replica* r : replicas) {
+    const StatsChannel::Feed feed = channel_->Collect(r->id());
+    snapshots.emplace(r, *feed.snapshot);
+    FeedState fs;
+    fs.fresh = feed.fresh;
+    fs.stale_intervals = feed.stale_intervals;
+    fs.confidence = feed.confidence;
+    feeds_[r->id()] = fs;
   }
   for (const auto& server : resources_->servers()) {
     ServerSample ss;
@@ -684,8 +673,7 @@ bool SelectiveRetuner::TryMemoryRetuning(
     const Snapshot& snap = snap_it->second;
     LogAnalyzer& analyzer = AnalyzerFor(&r->engine());
     const double confidence = FeedConfidence(r->id());
-    const double fence_scale =
-        channel_ != nullptr ? channel_->FenceScale(confidence) : 1.0;
+    const double fence_scale = channel_->FenceScale(confidence);
 
     // A replica whose engine never recorded a stable interval for this
     // application is still warming up after being provisioned; there is
@@ -759,7 +747,7 @@ bool SelectiveRetuner::TryMemoryRetuning(
     record.memory = diagnosis;
     diagnoses_.push_back(std::move(record));
     if (!act) continue;
-    if (channel_ != nullptr && !channel_->ConfidentToAct(confidence)) {
+    if (!channel_->ConfidentToAct(confidence)) {
       // This replica's numbers are last-known-good, not measured:
       // record the diagnosis, take no quota/demote/migration off it.
       // Shed and CPU provisioning run on app-level latency and are
@@ -975,8 +963,7 @@ bool SelectiveRetuner::TryIoRetuning(
         if (it != snapshots.end() && it->second.contains(key)) source = rr;
       }
       if (source == nullptr) continue;
-      if (channel_ != nullptr &&
-          !channel_->ConfidentToAct(FeedConfidence(source->id()))) {
+      if (!channel_->ConfidentToAct(FeedConfidence(source->id()))) {
         // Evicting by per-class I/O shares computed from stale stats
         // moves the wrong class; wait for the feed to recover.
         low_confidence_suppressed_ = true;

@@ -187,7 +187,15 @@ class SelectiveRetuner {
     LogAnalyzer::MemoryDiagnosis memory;
   };
 
-  SelectiveRetuner(Simulator* sim, ResourceManager* resources, Config config);
+  // `channel` is the telemetry transport, owned by the caller: Tick
+  // publishes every replica's interval report through it and collects
+  // the controller's (possibly stale, last-known-good) view back.
+  // Stale feeds widen the IQR fences and, below the confidence
+  // threshold, suppress per-class quota/demote/migration actions —
+  // shed and CPU provisioning run on app-level latency and are never
+  // gated.
+  SelectiveRetuner(Simulator* sim, ResourceManager* resources,
+                   StatsChannel* channel, Config config);
   SelectiveRetuner(const SelectiveRetuner&) = delete;
   SelectiveRetuner& operator=(const SelectiveRetuner&) = delete;
 
@@ -221,16 +229,6 @@ class SelectiveRetuner {
   // Late-binds the span tracer (the harness enables tracing after
   // construction). Null detaches.
   void set_span_tracer(SpanTracer* spans) { spans_ = spans; }
-
-  // Telemetry transport: when set, Tick publishes every replica's
-  // interval report through the channel and collects the controller's
-  // (possibly stale, last-known-good) view back instead of reading the
-  // stats collector directly. Stale feeds widen the IQR fences and,
-  // below the confidence threshold, suppress per-class quota/demote/
-  // migration actions — shed and CPU provisioning run on app-level
-  // latency and are never gated. Null (the default) keeps the
-  // pre-channel direct handoff.
-  void set_stats_channel(StatsChannel* channel) { channel_ = channel; }
 
   // --- controller crash/restart (ctl faults) ---
   // Stop halts the interval ticker and strands every in-flight
@@ -336,8 +334,7 @@ class SelectiveRetuner {
   void ArmTicker();
 
   // The controller's view of one replica's telemetry feed this tick
-  // (all-fresh defaults when no channel is attached or the replica is
-  // unknown).
+  // (all-fresh defaults when the replica is unknown).
   struct FeedState {
     bool fresh = true;
     uint64_t stale_intervals = 0;
@@ -400,7 +397,7 @@ class SelectiveRetuner {
   int migrations_this_interval_ = 0;
   std::set<ClassKey> migrating_;  // classes with an in-flight migration
 
-  StatsChannel* channel_ = nullptr;
+  StatsChannel* channel_;
   std::map<int, FeedState> feeds_;  // rebuilt each tick, keyed by replica id
   // Bumped by Stop(): scheduled callbacks capture the epoch they were
   // armed under and no-op if the controller crashed since.

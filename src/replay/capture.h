@@ -69,9 +69,10 @@ struct CaptureInfo {
   // ReplacementPolicyName() of the engines' DRAM partition policy;
   // empty = lru. Also a trailing optional field.
   std::string replacement_spec;
-  // StatsChannelConfig::ToString() of the run's stats-report transport
-  // ("guard=on" when enabled with all defaults); empty = the direct
-  // engine handoff, no channel. Also a trailing optional field.
+  // StatsChannelConfig::ToString() of the run's stats channel; empty =
+  // all defaults. Older captures wrote "guard=on" for the default
+  // channel and "" for a direct engine hand-off; both replay over the
+  // default channel. Also a trailing optional field.
   std::string stats_spec;
   // Controller checkpoint cadence ("interval=<seconds>"); empty =
   // checkpointing off. Also a trailing optional field.

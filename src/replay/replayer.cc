@@ -157,15 +157,17 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     harness->EnableSpanTracing(span_config);
   }
 
-  if (!capture.info.stats_spec.empty()) {
-    StatsChannelConfig channel_config;
-    std::string channel_error;
-    if (!StatsChannelConfig::Parse(capture.info.stats_spec, &channel_config,
-                                   &channel_error)) {
-      return fail("capture carries unparsable stats spec: " + channel_error);
-    }
-    harness->EnableStatsChannel(channel_config);
+  // Every run reads its stats through the channel. Captures write its
+  // config as StatsChannelConfig::ToString(), "" at defaults; older ones
+  // wrote "" for a direct hand-off and "guard=on" for the default
+  // channel, and both replay over the default channel.
+  StatsChannelConfig channel_config;
+  std::string channel_error;
+  if (!StatsChannelConfig::Parse(capture.info.stats_spec, &channel_config,
+                                 &channel_error)) {
+    return fail("capture carries unparsable stats spec: " + channel_error);
   }
+  harness->ConfigureStatsChannel(channel_config);
 
   if (!capture.info.ckpt_spec.empty()) {
     // The only key is "interval=<seconds>".

@@ -114,11 +114,6 @@ usage: fglb_sim [options]
                     "crash@120:replica=1,restart=60;disk@300:server=0,factor=8,duration=120"
                     (chaos-* scenarios provide one if omitted)
   --fault-seed=N    fault-injector seed (schedule + decisions) (default 1)
-  --stats-net=MODE  stats transport: direct | channel | auto; the
-                    channel delivers interval reports through the DES
-                    so `net` fault windows can drop/dup/corrupt/delay
-                    them (auto = channel for chaos-net/chaos-ctl)
-                                                            (default auto)
   --stats-guard=M   on | off: decay controller confidence while stats
                     reports are missing (fences widen, per-class
                     actions pause); off is the flapping ablation arm
@@ -234,9 +229,6 @@ bool ParseCliOptions(const std::vector<std::string>& args,
       options->fault_spec = value;
     } else if (key == "fault-seed") {
       ok = ParseUint64(value, &options->fault_seed);
-    } else if (key == "stats-net") {
-      ok = value == "direct" || value == "channel" || value == "auto";
-      options->stats_net = value;
     } else if (key == "stats-guard") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
       options->stats_guard = (value == "on" || value == "1") ? "on" : "off";

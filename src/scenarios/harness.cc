@@ -111,9 +111,12 @@ ClusterHarness::ClusterHarness(SelectiveRetuner::Config config,
                                Simulator::QueueKind queue_kind)
     : observability_(observability),
       sim_(queue_kind),
+      stats_channel_(&sim_, StatsChannelConfig{}),
       resources_(&sim_),
-      retuner_(&sim_, &resources_, WithObservability(std::move(config))) {
+      retuner_(&sim_, &resources_, &stats_channel_,
+               WithObservability(std::move(config))) {
   if (observability_) {
+    stats_channel_.BindObservability(&metrics_, &trace_);
     resources_.set_metrics(&metrics_);
     resources_.set_trace(&trace_);
     sim_.BindMetrics(&metrics_);
@@ -265,30 +268,16 @@ FaultInjector* ClusterHarness::InjectFaults(FaultSpec spec, uint64_t seed) {
             injector->OnMigrationAttempt(key, attempt);
         return MigrationOutcome{d.fail, d.delay_seconds};
       });
-  if (stats_channel_ != nullptr) {
-    // The channel was created first: hook it up now.
-    stats_channel_->set_net_hook(
-        [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
-          return injector->OnStatsReport(replica_id, seq);
-        });
-  }
+  stats_channel_.set_net_hook(
+      [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
+        return injector->OnStatsReport(replica_id, seq);
+      });
   if (started_) fault_injector_->Arm();
   return fault_injector_.get();
 }
 
-StatsChannel* ClusterHarness::EnableStatsChannel(
-    const StatsChannelConfig& config) {
-  if (stats_channel_ != nullptr) return stats_channel_.get();
-  stats_channel_ = std::make_unique<StatsChannel>(&sim_, config);
-  if (observability_) stats_channel_->BindObservability(&metrics_, &trace_);
-  retuner_.set_stats_channel(stats_channel_.get());
-  if (fault_injector_ != nullptr) {
-    stats_channel_->set_net_hook(
-        [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
-          return injector->OnStatsReport(replica_id, seq);
-        });
-  }
-  return stats_channel_.get();
+void ClusterHarness::ConfigureStatsChannel(const StatsChannelConfig& config) {
+  stats_channel_.set_config(config);
 }
 
 void ClusterHarness::EnableCheckpointing(double interval_seconds) {
@@ -304,7 +293,7 @@ void ClusterHarness::EnableCheckpointing(double interval_seconds) {
         // while it was healthy stays the restore point.
         if (!self->controller_down_) {
           ControllerCheckpoint::Build(self->sim_.Now(), self->retuner_,
-                                      self->stats_channel_.get(),
+                                      &self->stats_channel_,
                                       self->admission_.get(),
                                       &self->checkpoint_blob_);
         }
@@ -332,13 +321,13 @@ bool ClusterHarness::RestartController() {
   if (!checkpoint_blob_.empty()) {
     const ControllerCheckpoint::RestoreResult result =
         ControllerCheckpoint::Restore(checkpoint_blob_, &retuner_,
-                                      stats_channel_.get(), admission_.get());
+                                      &stats_channel_, admission_.get());
     // A rejected blob leaves everything reset — exactly the cold start.
     why = result.ok ? "restored" : "bad_ckpt";
     ckpt_t = result.taken_at;
   } else {
     retuner_.ResetControlState();
-    if (stats_channel_ != nullptr) stats_channel_->ResetReceiverState();
+    stats_channel_.ResetReceiverState();
     if (admission_ != nullptr) admission_->ResetState();
   }
   if (observability_) {

@@ -87,15 +87,14 @@ class ClusterHarness {
   SpanTracer* EnableSpanTracing(const SpanConfig& config = {});
   SpanTracer* span_tracer() { return span_tracer_.get(); }
 
-  // Routes interval stats reports through an explicit DES-delivered
-  // channel (publish -> deliver -> collect) instead of the retuner's
-  // direct engine handoff; injected `net` fault windows then make
-  // delivery lossy and the controller falls back to last-known-good
-  // stats with confidence decay. Works in either creation order with
-  // InjectFaults. Idempotent — later calls return the existing
-  // channel, ignoring `config`.
-  StatsChannel* EnableStatsChannel(const StatsChannelConfig& config = {});
-  StatsChannel* stats_channel() { return stats_channel_.get(); }
+  // Interval stats reports always travel through the harness-owned
+  // StatsChannel (publish -> deliver -> collect); it is lossless until
+  // an injected `net` fault window makes delivery lossy, and the
+  // controller then falls back to last-known-good stats with
+  // confidence decay. The channel starts at the default config; call
+  // this before Start() to change its knobs.
+  void ConfigureStatsChannel(const StatsChannelConfig& config);
+  StatsChannel* stats_channel() { return &stats_channel_; }
 
   // Arms a recurring FGLBCKPT1 snapshot of the controller's control
   // plane every `interval_seconds` (<= 0 uses the retuner interval).
@@ -170,6 +169,7 @@ class ClusterHarness {
   TraceLog trace_;
   bool observability_;
   Simulator sim_;
+  StatsChannel stats_channel_;
   ResourceManager resources_;
   SelectiveRetuner retuner_;
   std::vector<std::unique_ptr<ApplicationSpec>> specs_;
@@ -180,7 +180,6 @@ class ClusterHarness {
   std::unique_ptr<SpanTracer> span_tracer_;
   std::unique_ptr<FaultBackend> fault_backend_;
   std::unique_ptr<FaultInjector> fault_injector_;
-  std::unique_ptr<StatsChannel> stats_channel_;
   ArrivalRecorder* arrival_recorder_ = nullptr;
   bool started_ = false;
   bool sampler_started_ = false;

@@ -32,9 +32,7 @@ SoakResult RunSoak(uint64_t seed, const RandomFaultProfile& profile,
   ClusterHarness h(config);
   h.trace().EnableBuffering();
   if (survivability) {
-    // net windows need the DES-delivered transport to bite, and ctl
-    // crashes restore from FGLBCKPT1 instead of cold-starting.
-    h.EnableStatsChannel();
+    // ctl crashes restore from FGLBCKPT1 instead of cold-starting.
     h.EnableCheckpointing();
   }
   h.AddServers(3);
@@ -126,7 +124,7 @@ TEST(ChaosSoakTest, HeavyProfileStaysBounded) {
 TEST(ChaosSoakTest, SurvivabilityProfileKeepsInvariantsAcrossSeeds) {
   // The full fault surface: legacy churn plus tier faults, lossy
   // stats-transport windows and a controller crash/restart, against a
-  // harness running the stats channel and checkpoint cadence. The same
+  // harness running the checkpoint cadence. The same
   // conservation / budget / trace invariants must hold — a restored
   // controller double-starting migrations would blow the start budget,
   // and malformed recovery events would fail the trace check.

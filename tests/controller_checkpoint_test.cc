@@ -22,7 +22,6 @@ struct Fixture {
     SelectiveRetuner::Config config;
     config.max_migrations_per_interval = 2;
     harness = std::make_unique<ClusterHarness>(config);
-    harness->EnableStatsChannel();
     harness->AddServers(3);
     Scheduler* tpcw = harness->AddApplication(MakeTpcw());
     RubisOptions rubis_options;

@@ -28,7 +28,7 @@ std::unique_ptr<ClusterHarness> MakeCluster(bool guard = true) {
   h->trace().EnableBuffering();
   StatsChannelConfig channel_config;
   channel_config.guard = guard;
-  h->EnableStatsChannel(channel_config);
+  h->ConfigureStatsChannel(channel_config);
   h->EnableCheckpointing();
   h->AddServers(3);
   Scheduler* tpcw = h->AddApplication(MakeTpcw());
@@ -196,7 +196,6 @@ TEST(RecoveryTest, RestartWithoutCheckpointColdStarts) {
   config.max_migrations_per_interval = 2;
   ClusterHarness h(config);
   h.trace().EnableBuffering();
-  h.EnableStatsChannel();
   h.AddServers(2);
   Scheduler* tpcw = h.AddApplication(MakeTpcw());
   tpcw->AddReplica(
