@@ -5,7 +5,7 @@
 // vector and replayed each class serially through a freshly allocated
 // exact Fenwick stack. This binary measures that legacy path against
 // the pipeline (zero-copy ring snapshots + reusable scratch stacks +
-// hash-sampled replay + worker-pool fan-out) on 8 classes x 64k-entry
+// hash-sampled replay, serial over classes) on 8 classes x 64k-entry
 // windows, checks the sampled MRC parameters stay within 10% of the
 // exact result, and emits BENCH_mrc_pipeline.json.
 //
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : "BENCH_mrc_pipeline.json";
   bench::PrintHeader(
-      "MRC analysis pipeline: parallel + sampled + copy-free diagnosis");
+      "MRC analysis pipeline: sampled + copy-free diagnosis");
   std::printf("%d classes, %zu-entry windows, sample rate 1/%d\n", kClasses,
               kWindow, static_cast<int>(std::lround(1.0 / kSampleRate)));
 
@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
 
   // 2. Serial exact pipeline: copy-free windows + scratch-stack reuse.
   MrcConfig serial_config;
-  serial_config.analysis_threads = 1;
   LogAnalyzer serial_analyzer(&engine, OutlierConfig{}, serial_config);
   serial_analyzer.DiagnoseMemory(candidates);  // warm trackers/scratch
   LogAnalyzer::MemoryDiagnosis serial_diag;
@@ -140,18 +139,17 @@ int main(int argc, char** argv) {
   json.Add("serial_exact_nocopy", serial_ms, total_accesses);
   std::printf("serial exact, copy-free + scratch:     %8.2f ms\n", serial_ms);
 
-  // 3. The pipeline: parallel fan-out + sampled replay + copy-free.
+  // 3. The pipeline: sampled replay + copy-free.
   MrcConfig pipeline_config;
-  pipeline_config.analysis_threads = 0;  // all cores
   pipeline_config.sample_rate = kSampleRate;
   LogAnalyzer pipeline_analyzer(&engine, OutlierConfig{}, pipeline_config);
-  pipeline_analyzer.DiagnoseMemory(candidates);  // warm pool/trackers
+  pipeline_analyzer.DiagnoseMemory(candidates);  // warm trackers/scratch
   LogAnalyzer::MemoryDiagnosis pipeline_diag;
   const double pipeline_ms = BestOf(kRepetitions, [&] {
     pipeline_diag = pipeline_analyzer.DiagnoseMemory(candidates);
   });
-  json.Add("parallel_sampled_nocopy", pipeline_ms, total_accesses);
-  std::printf("parallel + sampled, copy-free:         %8.2f ms\n",
+  json.Add("serial_sampled_nocopy", pipeline_ms, total_accesses);
+  std::printf("serial sampled, copy-free + scratch:   %8.2f ms\n",
               pipeline_ms);
 
   const double speedup = legacy_ms / pipeline_ms;

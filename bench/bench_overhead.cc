@@ -98,9 +98,7 @@ BENCHMARK(BM_MrcRecompute)->Unit(benchmark::kMillisecond);
 // Tracing stays off in both runs (a trace file is I/O-bound and opt-in)
 // so the ratio isolates the always-on instrumentation cost.
 double RunScenario(bool observability) {
-  SelectiveRetuner::Config config;
-  config.mrc.analysis_threads = 1;
-  ClusterHarness harness(config, observability);
+  ClusterHarness harness({}, observability);
   harness.AddServers(2);
   PhysicalServer* first = harness.resources().servers()[0].get();
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());

@@ -69,60 +69,23 @@ OutlierReport LogAnalyzer::DetectOutliers(
   return report;
 }
 
-ThreadPool& LogAnalyzer::AnalysisPool() {
-  if (!pool_) {
-    const int threads = mrc_config_.analysis_threads;
-    pool_ = std::make_unique<ThreadPool>(
-        threads <= 0 ? 0 : static_cast<size_t>(threads));
-    if (metrics_ != nullptr) {
-      pool_->BindMetrics(metrics_, "controller.pool.");
-    }
-  }
-  return *pool_;
-}
-
 LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
     const std::set<ClassKey>& candidates) {
   const auto start = std::chrono::steady_clock::now();
   MemoryDiagnosis diagnosis;
-  // Phase 1 (serial): snapshot windows and materialize trackers —
-  // everything that touches shared maps.
-  struct Job {
-    ClassKey key;
-    SpanPair<PageId> window;
-    MrcTracker* tracker;
-    MrcTracker::Recomputation rec;
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(candidates.size());
   for (ClassKey key : candidates) {
     const SpanPair<PageId> window = engine_->stats().AccessWindowSpans(key);
     if (window.size() < kMinWindowForMrc) {
       diagnosis.insufficient_data.push_back(key);
       continue;
     }
-    jobs.push_back(Job{key, window, &TrackerFor(key), {}});
-  }
-  // Phase 2 (parallel): each job reads its own window snapshot and
-  // mutates only its own tracker's scratch stack and its own slot.
-  auto run_job = [](Job& job) {
-    job.rec = job.tracker->Recompute(job.window);
-  };
-  if (jobs.size() > 1) {
-    AnalysisPool().ParallelFor(jobs.size(),
-                               [&jobs, &run_job](size_t i) { run_job(jobs[i]); });
-  } else if (!jobs.empty()) {
-    run_job(jobs[0]);
-  }
-  // Phase 3 (serial): merge in candidate order, so the diagnosis is
-  // byte-identical to a serial pass.
-  for (Job& job : jobs) {
+    MrcTracker::Recomputation rec = TrackerFor(key).Recompute(window);
     ClassMemoryProfile profile;
-    profile.key = job.key;
-    profile.params = job.rec.params;
+    profile.key = key;
+    profile.params = rec.params;
     // Carry the curve itself: tiered planning reads the (dram, tier2)
     // split straight off the reuse-distance histogram.
-    profile.curve = std::make_shared<MissRatioCurve>(job.rec.curve);
+    profile.curve = std::make_shared<MissRatioCurve>(rec.curve);
     if (mrc_config_.opt_regret) {
       // LRU-vs-Belady gap at the class's acceptable-memory point: how
       // much of the remaining miss ratio is replacement-policy regret
@@ -132,16 +95,16 @@ LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
       // to the baseline's length): over a longer trace OPT would
       // amortise cold misses the curve still pays.
       const std::vector<PageId> covered =
-          job.window.Suffix(job.rec.curve.total_accesses()).ToVector();
-      profile.regret_vs_opt = RegretVsOpt(
-          covered, job.rec.curve, job.rec.params.acceptable_memory_pages);
+          window.Suffix(rec.curve.total_accesses()).ToVector();
+      profile.regret_vs_opt = RegretVsOpt(covered, rec.curve,
+                                          rec.params.acceptable_memory_pages);
     }
-    if (job.rec.suspect) {
+    if (rec.suspect) {
       diagnosis.suspects.push_back(profile);
     } else {
       diagnosis.cleared.push_back(profile);
     }
-    last_recomputation_[job.key] = std::move(job.rec);
+    last_recomputation_[key] = std::move(rec);
   }
   if (mrc_us_ != nullptr) mrc_us_->Record(MicrosSince(start));
   return diagnosis;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
 #include "core/stable_state.h"
@@ -61,12 +60,9 @@ class LogAnalyzer {
     std::vector<ClassKey> insufficient_data;
   };
 
-  // Recomputes MRCs from the recent access windows for `candidates`.
-  // Each class's Mattson replay is independent, so the replays fan out
-  // across a worker pool sized by MrcConfig::analysis_threads; windows
-  // are consumed as zero-copy ring snapshots. The result is identical
-  // to a serial pass (each job writes only its own slot and the merge
-  // preserves candidate order).
+  // Recomputes MRCs from the recent access windows for `candidates`,
+  // one class at a time in candidate order; windows are consumed as
+  // zero-copy ring snapshots.
   MemoryDiagnosis DiagnoseMemory(const std::set<ClassKey>& candidates);
 
   // Adopts the most recent recomputation of `key` as its new stable MRC
@@ -107,8 +103,6 @@ class LogAnalyzer {
 
  private:
   MrcTracker& TrackerFor(ClassKey key);
-  // The diagnosis worker pool, created on first parallel use.
-  ThreadPool& AnalysisPool();
 
   DatabaseEngine* engine_;
   OutlierDetector detector_;
@@ -120,7 +114,6 @@ class LogAnalyzer {
   StableStateStore stable_store_;
   std::map<ClassKey, std::unique_ptr<MrcTracker>> trackers_;
   std::map<ClassKey, MrcTracker::Recomputation> last_recomputation_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace fglb

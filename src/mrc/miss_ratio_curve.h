@@ -49,10 +49,9 @@ struct MrcConfig {
   // tests), which is why significant_change_fraction is much larger
   // than any sensible rate's error.
   double sample_rate = 1.0;
-  // Concurrency of the diagnosis fan-out in LogAnalyzer: total
-  // threads including the caller; 1 = fully serial, 0 = use hardware
-  // concurrency.
-  int analysis_threads = 0;
+  // Diagnosis runs serially on the simulator thread. Kept readable
+  // (not a knob) so benchmark run info can report the thread count.
+  static constexpr int analysis_threads = 1;
   // When true, the diagnosis also computes each candidate's Belady/OPT
   // miss ratio over the window and surfaces the LRU-vs-OPT regret at
   // the acceptable memory size in phase=mrc trace events.

@@ -37,8 +37,7 @@ bool CaptureAccessSource::NextAccesses(ClassKey key,
 }
 
 std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
-    const Capture& capture, const ReplayBuildOptions& options,
-    CaptureAccessSource* source, std::string* error) {
+    const Capture& capture, CaptureAccessSource* source, std::string* error) {
   auto fail = [error](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return nullptr;
@@ -47,7 +46,6 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
   SelectiveRetuner::Config config;
   config.interval_seconds = capture.info.interval_seconds;
   config.mrc.sample_rate = capture.info.mrc_sample_rate;
-  config.mrc.analysis_threads = options.mrc_threads;
   config.max_migrations_per_interval =
       capture.info.max_migrations_per_interval;
   if (!capture.info.mrc_spec.empty()) {
@@ -214,8 +212,7 @@ bool ReplayRunner::Build(std::string* error) {
   built_ = true;
   source_ = std::make_unique<CaptureAccessSource>(capture_,
                                                   options_.from_time);
-  harness_ = BuildClusterFromCapture(*capture_, options_, source_.get(),
-                                     error);
+  harness_ = BuildClusterFromCapture(*capture_, source_.get(), error);
   if (harness_ == nullptr) return false;
   for (const auto& scheduler : harness_->schedulers()) {
     schedulers_[scheduler->app().id] = scheduler.get();

@@ -24,9 +24,6 @@ namespace fglb {
 // live run.
 
 struct ReplayBuildOptions {
-  // MRC analysis threads for the replayed controller (results are
-  // thread-count invariant; this only changes wall-clock speed).
-  int mrc_threads = 1;
   // Lenient replay tolerates access-string exhaustion (engines fall
   // back to generation) instead of failing the run. What-if evaluation
   // always runs lenient: changed routing shifts consumption.
@@ -69,8 +66,7 @@ class CaptureAccessSource : public AccessReplaySource {
 // provisions mid-run. Returns null with *error set when the capture is
 // internally inconsistent (e.g. replica ids that cannot be reproduced).
 std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
-    const Capture& capture, const ReplayBuildOptions& options,
-    CaptureAccessSource* source, std::string* error);
+    const Capture& capture, CaptureAccessSource* source, std::string* error);
 
 class ReplayRunner {
  public:

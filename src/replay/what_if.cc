@@ -45,11 +45,11 @@ bool RunCandidate(const Capture& capture, double window_end,
                   const std::function<void(ClusterHarness*, CandidateRun*)>&
                       apply,
                   CandidateRun* out, std::string* error) {
-  ReplayBuildOptions build;
-  build.lenient = true;  // changed routing shifts stream consumption
+  // Candidate runs are lenient: changed routing shifts stream
+  // consumption, so nothing here checks the source for divergence.
   CaptureAccessSource source(&capture, 0);
   std::unique_ptr<ClusterHarness> harness =
-      BuildClusterFromCapture(capture, build, &source, error);
+      BuildClusterFromCapture(capture, &source, error);
   if (harness == nullptr) return false;
 
   std::map<AppId, Scheduler*> schedulers;

@@ -93,7 +93,6 @@ usage: fglb_sim [options]
                                                             (default on)
   --replacement=P   DRAM partition replacement: lru | clock | arc
                                                             (default lru)
-  --mrc-threads=N   diagnosis worker threads; 0 = all cores (default 0)
   --mrc-sample-rate=R  Mattson replay sampling rate in (0,1];
                     1 = exact, 0.125 ~ 8x cheaper           (default 1)
   --mrc-opt-regret  attach the LRU-vs-Belady miss-ratio gap to every
@@ -197,9 +196,6 @@ bool ParseCliOptions(const std::vector<std::string>& args,
     } else if (key == "replacement") {
       ok = value == "lru" || value == "clock" || value == "arc";
       options->replacement = value;
-    } else if (key == "mrc-threads") {
-      ok = ParseInt(value, &options->mrc_threads) &&
-           options->mrc_threads >= 0;
     } else if (key == "mrc-sample-rate") {
       ok = ParseDouble(value, &options->mrc_sample_rate) &&
            options->mrc_sample_rate > 0 && options->mrc_sample_rate <= 1;

@@ -58,11 +58,9 @@ struct CliOptions {
   bool tier2_demote = true;
   // Replacement policy of every DRAM buffer-pool partition.
   std::string replacement = "lru";
-  // MRC analysis pipeline: worker threads for the diagnosis fan-out
-  // (0 = hardware concurrency, 1 = serial) and the Mattson replay
-  // hash-sampling rate (1.0 = exact; e.g. 0.125 replays ~1/8 of the
-  // pages and scales counts back up).
-  int mrc_threads = 0;
+  // Mattson replay hash-sampling rate of the MRC diagnosis (1.0 =
+  // exact; e.g. 0.125 replays ~1/8 of the pages and scales counts
+  // back up).
   double mrc_sample_rate = 1.0;
   // Attach the LRU-vs-Belady regret to every diagnosed class profile
   // (phase=mrc trace events gain "regret_vs_opt"). Costs an OPT

@@ -4,10 +4,10 @@
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
-#include "common/thread_pool.h"
 
 namespace fglb {
 namespace {
@@ -129,18 +129,24 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesKeepExactTotals) {
   MetricsRegistry registry;
   Counter* hits = registry.counter("test.hits");
   LatencyHistogram* lat = registry.histogram("test.lat_us");
-  ThreadPool pool(4);
+  constexpr size_t kThreads = 4;
   constexpr size_t kTasks = 64;
   constexpr int kPerTask = 1000;
-  pool.ParallelFor(kTasks, [&](size_t task) {
-    for (int i = 0; i < kPerTask; ++i) {
-      hits->Increment();
-      lat->Record(static_cast<double>(task % 8) + 1.0);
-    }
-    // Concurrent find-or-create of an already-registered name must be
-    // safe and return the same instrument.
-    EXPECT_EQ(registry.counter("test.hits"), hits);
-  });
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t task = t; task < kTasks; task += kThreads) {
+        for (int i = 0; i < kPerTask; ++i) {
+          hits->Increment();
+          lat->Record(static_cast<double>(task % 8) + 1.0);
+        }
+        // Concurrent find-or-create of an already-registered name must
+        // be safe and return the same instrument.
+        EXPECT_EQ(registry.counter("test.hits"), hits);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(hits->value(), kTasks * kPerTask);
   EXPECT_EQ(lat->count(), kTasks * kPerTask);
   uint64_t bucket_total = 0;

@@ -1,9 +1,7 @@
-// Tests for the parallel, sampled, copy-free MRC analysis pipeline:
-// ThreadPool semantics, sampled-vs-exact MRC parameter agreement, the
-// Fenwick scratch/presize paths, and determinism of the parallel
-// DiagnoseMemory fan-out against a serial pass.
+// Tests for the sampled, copy-free MRC analysis pipeline: sampled-vs-
+// exact MRC parameter agreement, the Fenwick scratch/presize paths, and
+// determinism of DiagnoseMemory across independent analyzers.
 
-#include <atomic>
 #include <map>
 #include <numeric>
 #include <ostream>
@@ -13,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/log_analyzer.h"
 #include "engine/database_engine.h"
 #include "mrc/miss_ratio_curve.h"
@@ -62,52 +59,6 @@ std::vector<PageId> MakeLoopingTrace(uint64_t hot, uint64_t wide,
     }
   }
   return trace;
-}
-
-// --- ThreadPool ---
-
-TEST(ThreadPoolTest, SubmitReturnsResults) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  int expected = 0;
-  for (int i = 0; i < 100; ++i) expected += i * i;
-  EXPECT_EQ(sum, expected);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  const std::thread::id caller = std::this_thread::get_id();
-  auto f = pool.Submit([caller] { return std::this_thread::get_id() == caller; });
-  EXPECT_TRUE(f.get());
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> counts(997);
-    pool.ParallelFor(counts.size(),
-                     [&counts](size_t i) { counts[i].fetch_add(1); });
-    for (size_t i = 0; i < counts.size(); ++i) {
-      ASSERT_EQ(counts[i].load(), 1) << "index " << i << " with " << threads
-                                     << " threads";
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesEdgeSizes) {
-  ThreadPool pool(4);
-  int zero_calls = 0;
-  pool.ParallelFor(0, [&zero_calls](size_t) { ++zero_calls; });
-  EXPECT_EQ(zero_calls, 0);
-  std::atomic<int> one_calls{0};
-  pool.ParallelFor(1, [&one_calls](size_t) { one_calls.fetch_add(1); });
-  EXPECT_EQ(one_calls.load(), 1);
 }
 
 // --- SampledMattsonStack ---
@@ -275,8 +226,11 @@ TEST(MrcTrackerSpansTest, TwoSpanInputMatchesContiguous) {
   EXPECT_EQ(rec_a.suspect, rec_b.suspect);
 }
 
-// --- Parallel DiagnoseMemory determinism ---
+// --- DiagnoseMemory determinism ---
 
+// Named for the worker-pool fan-out diagnosis once had; it is serial
+// now. Two analyzers over identically filled engines must agree exactly,
+// and the profiles come back in candidate order.
 class ParallelDiagnosisTest : public ::testing::Test {
  protected:
   static constexpr int kClasses = 6;
@@ -327,41 +281,46 @@ class ParallelDiagnosisTest : public ::testing::Test {
     EXPECT_EQ(a.insufficient_data, b.insufficient_data);
   }
 
+  static void ExpectCandidateOrder(
+      const std::vector<ClassMemoryProfile>& profiles) {
+    for (size_t i = 1; i < profiles.size(); ++i) {
+      EXPECT_LT(profiles[i - 1].key, profiles[i].key);
+    }
+  }
+
   void RunDeterminismCheck(double sample_rate) {
     DiskModel disk;
     DatabaseEngine::Options options;
     options.access_window_capacity = kWindow;
-    DatabaseEngine serial_engine("serial", options, &disk);
-    DatabaseEngine parallel_engine("parallel", options, &disk);
-    FillEngine(&serial_engine);
-    FillEngine(&parallel_engine);
+    DatabaseEngine first_engine("first", options, &disk);
+    DatabaseEngine second_engine("second", options, &disk);
+    FillEngine(&first_engine);
+    FillEngine(&second_engine);
 
-    MrcConfig serial_config;
-    serial_config.analysis_threads = 1;
-    serial_config.sample_rate = sample_rate;
-    MrcConfig parallel_config = serial_config;
-    parallel_config.analysis_threads = 4;
-
-    LogAnalyzer serial(&serial_engine, OutlierConfig{}, serial_config);
-    LogAnalyzer parallel(&parallel_engine, OutlierConfig{}, parallel_config);
+    MrcConfig config;
+    config.sample_rate = sample_rate;
+    LogAnalyzer first(&first_engine, OutlierConfig{}, config);
+    LogAnalyzer second(&second_engine, OutlierConfig{}, config);
 
     // First pass: no baselines, every class is a fresh suspect.
-    const auto serial_first = serial.DiagnoseMemory(Candidates());
-    const auto parallel_first = parallel.DiagnoseMemory(Candidates());
-    EXPECT_EQ(serial_first.suspects.size(), static_cast<size_t>(kClasses));
-    ExpectIdentical(serial_first, parallel_first);
+    const auto first_fresh = first.DiagnoseMemory(Candidates());
+    const auto second_fresh = second.DiagnoseMemory(Candidates());
+    EXPECT_EQ(first_fresh.suspects.size(), static_cast<size_t>(kClasses));
+    ExpectCandidateOrder(first_fresh.suspects);
+    ExpectIdentical(first_fresh, second_fresh);
 
     // Adopt baselines, rediagnose: identical cleared verdicts too.
-    for (const auto& p : serial_first.suspects) {
-      serial.AdoptRecomputation(p.key);
+    for (const auto& p : first_fresh.suspects) {
+      first.AdoptRecomputation(p.key);
     }
-    for (const auto& p : parallel_first.suspects) {
-      parallel.AdoptRecomputation(p.key);
+    for (const auto& p : second_fresh.suspects) {
+      second.AdoptRecomputation(p.key);
     }
-    const auto serial_second = serial.DiagnoseMemory(Candidates());
-    const auto parallel_second = parallel.DiagnoseMemory(Candidates());
-    EXPECT_EQ(serial_second.cleared.size(), static_cast<size_t>(kClasses));
-    ExpectIdentical(serial_second, parallel_second);
+    const auto first_again = first.DiagnoseMemory(Candidates());
+    const auto second_again = second.DiagnoseMemory(Candidates());
+    EXPECT_EQ(first_again.cleared.size(), static_cast<size_t>(kClasses));
+    ExpectCandidateOrder(first_again.cleared);
+    ExpectIdentical(first_again, second_again);
   }
 };
 
@@ -382,9 +341,7 @@ TEST_F(ParallelDiagnosisTest, InsufficientDataStillReported) {
   for (int i = 0; i < 10; ++i) {
     engine.stats().RecordPageAccess(thin, MakePageId(9, i));
   }
-  MrcConfig config;
-  config.analysis_threads = 4;
-  LogAnalyzer analyzer(&engine, OutlierConfig{}, config);
+  LogAnalyzer analyzer(&engine, OutlierConfig{}, MrcConfig{});
   const auto diagnosis = analyzer.DiagnoseMemory({thin});
   EXPECT_TRUE(diagnosis.suspects.empty());
   EXPECT_TRUE(diagnosis.cleared.empty());

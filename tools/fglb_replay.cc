@@ -33,7 +33,6 @@ struct ReplayCliOptions {
   bool summary = false;
   bool what_if = false;
   bool lenient = false;
-  int mrc_threads = 1;
   double window_start = -1;
   double horizon_seconds = 60;
   uint64_t quota_pages = 0;
@@ -63,7 +62,8 @@ usage: fglb_replay CAPTURE [options]
                      trace format (workload/trace.h)
   --lenient          tolerate replay divergence (engines regenerate
                      accesses when the recorded stream runs dry)
-  --mrc-threads=N    controller MRC worker threads            (default 1)
+  --mrc-threads=N    accepted for compatibility and ignored: MRC
+                     diagnosis is serial (N must be an integer >= 0)
   --help             this text
 )";
 
@@ -129,8 +129,8 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
       out->quota_pages = std::strtoull(value.c_str(), &end, 10);
       ok = end != nullptr && *end == '\0' && !value.empty();
     } else if (key == "mrc-threads") {
-      out->mrc_threads = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      ok = end != nullptr && *end == '\0' && out->mrc_threads >= 0;
+      const long threads = std::strtol(value.c_str(), &end, 10);
+      ok = end != nullptr && *end == '\0' && threads >= 0;
     } else {
       *error = "unknown option --" + key;
       return false;
@@ -244,7 +244,6 @@ int main(int argc, char** argv) {
 
   ReplayBuildOptions build;
   build.lenient = options.lenient;
-  build.mrc_threads = options.mrc_threads;
   ReplayRunner runner(&capture, build);
   if (!runner.Build(&error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());

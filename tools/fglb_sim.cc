@@ -290,7 +290,6 @@ int main(int argc, char** argv) {
   ParseReplacementPolicy(options.replacement, &replacement);  // CLI-validated
 
   SelectiveRetuner::Config retuner_config;
-  retuner_config.mrc.analysis_threads = options.mrc_threads;
   retuner_config.mrc.sample_rate = options.mrc_sample_rate;
   retuner_config.mrc.opt_regret = options.mrc_opt_regret;
   if (chaos) {
