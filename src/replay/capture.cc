@@ -5,7 +5,6 @@
 
 #include "common/varint.h"
 #include "scenarios/harness.h"
-#include "workload/trace.h"
 
 namespace fglb {
 namespace {
@@ -697,20 +696,6 @@ CaptureTopology SnapshotTopology(ClusterHarness& harness) {
     topo.placements.push_back(std::move(pl));
   }
   return topo;
-}
-
-std::vector<TraceRecord> ToLegacyTrace(const Capture& capture) {
-  std::vector<TraceRecord> records;
-  records.reserve(capture.accesses.size());
-  for (const auto& exec : capture.executions) {
-    for (uint32_t i = 0; i < exec.access_count; ++i) {
-      TraceRecord rec;
-      rec.class_key = exec.key;
-      rec.access = capture.accesses[exec.access_begin + i];
-      records.push_back(rec);
-    }
-  }
-  return records;
 }
 
 }  // namespace fglb

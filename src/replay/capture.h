@@ -12,7 +12,6 @@
 #include "workload/application.h"
 #include "workload/capture_hooks.h"
 #include "workload/query_class.h"
-#include "workload/trace.h"
 
 namespace fglb {
 
@@ -230,10 +229,6 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error);
 // Snapshots a fully assembled (pre-Start) harness into the topology
 // section the writer needs.
 CaptureTopology SnapshotTopology(ClusterHarness& harness);
-
-// Flattens a capture's executions into legacy per-class trace records
-// (workload/trace.h), preserving admission order.
-std::vector<TraceRecord> ToLegacyTrace(const Capture& capture);
 
 }  // namespace fglb
 

@@ -1,5 +1,5 @@
-// Property/fuzz coverage of the byte-level codec under the capture and
-// v2 trace formats: random streams must round-trip exactly, and random
+// Property/fuzz coverage of the byte-level codec under the FGLBCAP1
+// capture format: random streams must round-trip exactly, and random
 // byte corruption must be detected by the checksums — never a crash,
 // never silently wrong data.
 
@@ -15,7 +15,6 @@
 #include "common/varint.h"
 #include "replay/capture.h"
 #include "sim/simulator.h"
-#include "workload/trace.h"
 
 namespace fglb {
 namespace {
@@ -108,50 +107,84 @@ TEST(ReplayCodecTest, Crc32MatchesKnownVectorAndChains) {
   }
 }
 
-// --- v2 trace: random streams round-trip, corruption detected ---
+// --- random access streams through FGLBCAP1 ---
 
-std::vector<TraceRecord> RandomRecords(uint64_t seed, size_t count) {
+// One recorded execution of a random stream: its class and accesses.
+struct RandomExecution {
+  ClassKey key = 0;
+  std::vector<PageAccess> accesses;
+};
+
+std::vector<RandomExecution> RandomExecutions(uint64_t seed, size_t count) {
   std::mt19937_64 rng(seed);
-  std::vector<TraceRecord> records;
-  records.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    TraceRecord r;
+  std::vector<RandomExecution> executions(count);
+  for (RandomExecution& e : executions) {
     // Adversarial key/page distributions: wild jumps and tight runs.
-    r.class_key = rng() % 4 == 0 ? rng() : MakeClassKey(1, rng() % 8);
-    r.access.page = rng() % 4 == 0
-                        ? rng()
-                        : MakePageId(static_cast<TableId>(rng() % 4),
-                                     rng() % 10000);
-    r.access.kind = rng() % 2 == 0 ? AccessKind::kSequential
-                                   : AccessKind::kRandom;
-    r.access.is_write = rng() % 3 == 0;
-    records.push_back(r);
+    e.key = rng() % 4 == 0 ? rng() : MakeClassKey(1, rng() % 8);
+    e.accesses.resize(rng() % 40);
+    for (PageAccess& a : e.accesses) {
+      a.page = rng() % 4 == 0 ? rng()
+                              : MakePageId(static_cast<TableId>(rng() % 4),
+                                           rng() % 10000);
+      a.kind = rng() % 2 == 0 ? AccessKind::kSequential : AccessKind::kRandom;
+      a.is_write = rng() % 3 == 0;
+    }
   }
-  return records;
+  return executions;
+}
+
+// Writes `executions` as one replica's execution stream of a capture
+// with an empty topology and returns the file's bytes.
+std::string WriteRandomCapture(const std::string& path,
+                               const std::vector<RandomExecution>& executions) {
+  Simulator sim;
+  CaptureWriter writer(&sim);
+  CaptureInfo info;
+  info.scenario = "codec-random";
+  info.duration_seconds = static_cast<double>(executions.size());
+  info.interval_seconds = 10;
+  std::string error;
+  EXPECT_TRUE(writer.Open(path, info, CaptureTopology{}, &error)) << error;
+  for (size_t i = 0; i < executions.size(); ++i) {
+    sim.ScheduleAt(static_cast<double>(i) * 0.5, [&writer, &executions, i] {
+      writer.OnExecution(0, executions[i].key, executions[i].accesses);
+    });
+  }
+  sim.RunToCompletion();
+  EXPECT_TRUE(writer.Finalize({}, {}));
+  return Slurp(path);
 }
 
 TEST(ReplayCodecTest, RandomTraceStreamsRoundTripExactly) {
-  const std::string path = TempPath("fglb_codec_trace_rt.bin");
+  const std::string path = TempPath("fglb_codec_random_rt.bin");
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto records = RandomRecords(seed, 1 + seed * 37);
-    ASSERT_TRUE(WriteTrace(path, records));
-    std::vector<TraceRecord> loaded;
-    ASSERT_TRUE(ReadTrace(path, &loaded)) << "seed " << seed;
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      ASSERT_EQ(loaded[i].class_key, records[i].class_key);
-      ASSERT_EQ(loaded[i].access.page, records[i].access.page);
-      ASSERT_EQ(loaded[i].access.kind, records[i].access.kind);
-      ASSERT_EQ(loaded[i].access.is_write, records[i].access.is_write);
+    const auto executions = RandomExecutions(seed, 1 + seed * 7);
+    WriteRandomCapture(path, executions);
+    Capture capture;
+    std::string error;
+    ASSERT_TRUE(ReadCapture(path, &capture, &error))
+        << "seed " << seed << ": " << error;
+    ASSERT_EQ(capture.executions.size(), executions.size());
+    for (size_t i = 0; i < executions.size(); ++i) {
+      const CaptureExecution& exec = capture.executions[i];
+      ASSERT_EQ(exec.key, executions[i].key);
+      ASSERT_EQ(exec.access_count, executions[i].accesses.size());
+      for (uint32_t j = 0; j < exec.access_count; ++j) {
+        const PageAccess& got = capture.accesses[exec.access_begin + j];
+        const PageAccess& want = executions[i].accesses[j];
+        ASSERT_EQ(got.page, want.page);
+        ASSERT_EQ(got.kind, want.kind);
+        ASSERT_EQ(got.is_write, want.is_write);
+      }
     }
   }
   std::remove(path.c_str());
 }
 
 TEST(ReplayCodecTest, RandomTraceCorruptionAlwaysDetected) {
-  const std::string path = TempPath("fglb_codec_trace_fuzz.bin");
-  ASSERT_TRUE(WriteTrace(path, RandomRecords(99, 500)));
-  const std::string clean = Slurp(path);
+  const std::string path = TempPath("fglb_codec_random_fuzz.bin");
+  const std::string clean = WriteRandomCapture(path, RandomExecutions(99, 60));
+  ASSERT_FALSE(clean.empty());
   std::mt19937_64 rng(123);
   for (int trial = 0; trial < 300; ++trial) {
     std::string corrupted = clean;
@@ -159,12 +192,12 @@ TEST(ReplayCodecTest, RandomTraceCorruptionAlwaysDetected) {
     const uint8_t xor_mask = static_cast<uint8_t>(1 + rng() % 255);
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ xor_mask);
     WriteBytes(path, corrupted);
-    std::vector<TraceRecord> loaded;
-    // Must fail cleanly — magic, flags validation or the CRC-32 traps
-    // every single-byte change; silent wrong data would pass here.
-    EXPECT_FALSE(ReadTrace(path, &loaded))
+    Capture capture;
+    std::string error;
+    // Must fail cleanly: the magic, the block checksums or the decoder
+    // trap every single-byte change; silent wrong data would pass here.
+    EXPECT_FALSE(ReadCapture(path, &capture, &error))
         << "byte " << pos << " ^ " << int{xor_mask};
-    EXPECT_TRUE(loaded.empty());
   }
   std::remove(path.c_str());
 }
@@ -350,28 +383,6 @@ TEST(ReplayCodecTest, CaptureTruncationAndGarbageDetected) {
   EXPECT_FALSE(ReadCapture(path, &capture, &error));
   EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
   std::remove(path.c_str());
-}
-
-TEST(ReplayCodecTest, ToLegacyTracePreservesOrderAndClasses) {
-  const std::string path = TempPath("fglb_codec_capture_legacy.bin");
-  WriteSampleCapture(path, 21);
-  Capture capture;
-  std::string error;
-  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  const std::vector<TraceRecord> records = ToLegacyTrace(capture);
-  EXPECT_EQ(records.size(), capture.accesses.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].class_key, MakeClassKey(1, 3));
-    EXPECT_EQ(records[i].access.page, capture.accesses[i].page);
-  }
-  // And the legacy writer round-trips what the converter produced.
-  const std::string trace_path = TempPath("fglb_codec_capture_legacy.trc");
-  ASSERT_TRUE(WriteTrace(trace_path, records));
-  std::vector<TraceRecord> loaded;
-  ASSERT_TRUE(ReadTrace(trace_path, &loaded));
-  EXPECT_EQ(loaded.size(), records.size());
-  std::remove(path.c_str());
-  std::remove(trace_path.c_str());
 }
 
 }  // namespace

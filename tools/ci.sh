@@ -84,9 +84,6 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-live.jsonl" \
 # The other consumers must at least run clean on a real capture.
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if
-"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" \
-  --to-legacy-trace="${SMOKE_DIR}/live.trc" >/dev/null
-test -s "${SMOKE_DIR}/live.trc"
 
 echo "=== overload smoke: admission control + capture/replay ==="
 # The overload scenario turns admission on automatically; its trace must

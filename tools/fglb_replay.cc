@@ -2,13 +2,12 @@
 // fglb_sim --capture-out. Default mode re-drives the whole cluster
 // deterministically from the capture and reports whether the replayed
 // controller reproduced the recorded action log; other modes print a
-// capture summary, evaluate what-if actions against a violation
-// window, or convert the capture to the legacy per-class trace format.
+// capture summary or evaluate what-if actions against a violation
+// window.
 //
 //   ./build/tools/fglb_replay run.fglbcap --trace-out=replay.jsonl
 //   ./build/tools/fglb_replay run.fglbcap --summary
 //   ./build/tools/fglb_replay run.fglbcap --what-if --horizon=60
-//   ./build/tools/fglb_replay run.fglbcap --to-legacy-trace=run.trc
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +18,6 @@
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "replay/what_if.h"
-#include "workload/trace.h"
 
 namespace {
 
@@ -29,7 +27,6 @@ struct ReplayCliOptions {
   std::string capture_path;
   std::string trace_out;
   std::string spans_out;
-  std::string to_legacy_trace;
   bool summary = false;
   bool what_if = false;
   bool lenient = false;
@@ -58,8 +55,6 @@ usage: fglb_replay CAPTURE [options]
   --window-start=SEC what-if window start; -1 = auto-detect   (default -1)
   --horizon=SEC      what-if evaluation horizon               (default 60)
   --quota-pages=N    what-if quota size; 0 = auto             (default 0)
-  --to-legacy-trace=FILE  flatten page accesses to the v2 per-class
-                     trace format (workload/trace.h)
   --lenient          tolerate replay divergence (engines regenerate
                      accesses when the recorded stream runs dry)
   --mrc-threads=N    accepted for compatibility and ignored: MRC
@@ -116,9 +111,6 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
     } else if (key == "spans-out") {
       ok = !value.empty();
       out->spans_out = value;
-    } else if (key == "to-legacy-trace") {
-      ok = !value.empty();
-      out->to_legacy_trace = value;
     } else if (key == "window-start") {
       out->window_start = std::strtod(value.c_str(), &end);
       ok = end != nullptr && *end == '\0' && !value.empty();
@@ -212,18 +204,6 @@ int main(int argc, char** argv) {
 
   if (options.summary) {
     PrintSummary(capture);
-    return 0;
-  }
-
-  if (!options.to_legacy_trace.empty()) {
-    const std::vector<TraceRecord> records = ToLegacyTrace(capture);
-    if (!WriteTrace(options.to_legacy_trace, records)) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   options.to_legacy_trace.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace records to %s\n", records.size(),
-                options.to_legacy_trace.c_str());
     return 0;
   }
 
