@@ -12,15 +12,17 @@
 
 #include "bench/bench_util.h"
 #include "mrc/miss_ratio_curve.h"
-#include "storage/arc_buffer_pool.h"
+#include "reference/arc_buffer_pool.h"
+#include "reference/clock_buffer_pool.h"
 #include "storage/buffer_pool.h"
-#include "storage/clock_buffer_pool.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
 int main() {
   using namespace fglb;
   using namespace fglb::bench;
+  using reference::ArcBufferPool;
+  using reference::ClockBufferPool;
 
   PrintHeader("Ablation A5: MRC prediction vs real LRU vs CLOCK "
               "(inclusion-property sensitivity)");

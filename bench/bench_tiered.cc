@@ -111,7 +111,7 @@ ArmOutcome RunThrashArm(bool tiered, double duration) {
   harness.AddServers(4);
   TierConfig tier;
   if (tiered) tier.pages = 16384;
-  harness.resources().set_engine_defaults(ReplacementPolicy::kLru, tier);
+  harness.resources().set_engine_defaults(tier);
   PhysicalServer* first = harness.resources().servers()[0].get();
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());
   RubisOptions rubis_options;

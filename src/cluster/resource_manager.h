@@ -97,16 +97,10 @@ class ResourceManager {
 
   // Buffer-hierarchy defaults baked into every engine created from now
   // on (controller provisioning and fault restarts included): the
-  // replacement policy the DRAM partitions run and the second-tier
-  // cache config. Unlike the settings above these cannot be applied
+  // second-tier cache config. Unlike the settings above these cannot be applied
   // retroactively — an engine's pools are built in its constructor —
   // so scenarios set them before the first replica exists.
-  void set_engine_defaults(ReplacementPolicy replacement,
-                           const TierConfig& tier) {
-    engine_replacement_ = replacement;
-    engine_tier_ = tier;
-  }
-  ReplacementPolicy engine_replacement() const { return engine_replacement_; }
+  void set_engine_defaults(const TierConfig& tier) { engine_tier_ = tier; }
   const TierConfig& engine_tier() const { return engine_tier_; }
 
   // Observer invoked for every replica this manager creates — existing
@@ -124,7 +118,6 @@ class ResourceManager {
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   double execution_timeout_seconds_ = 0;
-  ReplacementPolicy engine_replacement_ = ReplacementPolicy::kLru;
   TierConfig engine_tier_;
   std::function<void(Replica*)> replica_observer_;
   std::vector<std::unique_ptr<PhysicalServer>> servers_;

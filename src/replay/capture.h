@@ -65,8 +65,10 @@ struct CaptureInfo {
   // TierConfig::ToString() of the engines' second-tier cache; empty =
   // tierless (the pre-tier behaviour). Also a trailing optional field.
   std::string tier_spec;
-  // ReplacementPolicyName() of the engines' DRAM partition policy;
-  // empty = lru. Also a trailing optional field.
+  // DRAM replacement policy of the run. Engines run LRU only, so
+  // captures write ""; older ones may say "lru" (the same run) or
+  // "clock"/"arc", which replay rejects. Also a trailing optional
+  // field.
   std::string replacement_spec;
   // StatsChannelConfig::ToString() of the run's stats channel; empty =
   // all defaults. Older captures wrote "guard=on" for the default

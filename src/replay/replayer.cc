@@ -60,7 +60,7 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
   auto harness = std::make_unique<ClusterHarness>(config);
 
   // The buffer hierarchy is baked into each engine at construction, so
-  // the captured tier/replacement specs must be installed before the
+  // the captured tier spec must be installed before the
   // first replica below (and they then also cover replicas the replayed
   // controller provisions mid-run).
   TierConfig tier_config;
@@ -71,13 +71,14 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
       return fail("capture carries unparsable tier spec: " + tier_error);
     }
   }
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-  if (!capture.info.replacement_spec.empty() &&
-      !ParseReplacementPolicy(capture.info.replacement_spec, &replacement)) {
-    return fail("capture carries unknown replacement policy: " +
-                capture.info.replacement_spec);
+  // Engines run LRU only; a capture of a CLOCK or ARC run cannot be
+  // reproduced by them.
+  const std::string& replacement = capture.info.replacement_spec;
+  if (!replacement.empty() && replacement != "lru") {
+    return fail("capture ran replacement policy '" + replacement +
+                "'; replay runs LRU only and cannot reproduce it");
   }
-  harness->resources().set_engine_defaults(replacement, tier_config);
+  harness->resources().set_engine_defaults(tier_config);
 
   for (const CaptureServerSpec& s : capture.topology.servers) {
     PhysicalServer::Options server_options;

@@ -91,8 +91,6 @@ usage: fglb_sim [options]
   --tier2-read-us=X service time of one tier-2 hit in usec  (default 100)
   --tier2-demote=M  on | off: demote DRAM evictions into the tier
                                                             (default on)
-  --replacement=P   DRAM partition replacement: lru | clock | arc
-                                                            (default lru)
   --mrc-sample-rate=R  Mattson replay sampling rate in (0,1];
                     1 = exact, 0.125 ~ 8x cheaper           (default 1)
   --mrc-opt-regret  attach the LRU-vs-Belady miss-ratio gap to every
@@ -193,9 +191,6 @@ bool ParseCliOptions(const std::vector<std::string>& args,
     } else if (key == "tier2-demote") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
       options->tier2_demote = value == "on" || value == "1";
-    } else if (key == "replacement") {
-      ok = value == "lru" || value == "clock" || value == "arc";
-      options->replacement = value;
     } else if (key == "mrc-sample-rate") {
       ok = ParseDouble(value, &options->mrc_sample_rate) &&
            options->mrc_sample_rate > 0 && options->mrc_sample_rate <= 1;

@@ -56,8 +56,6 @@ struct CliOptions {
   uint64_t tier2_pages = 0;
   double tier2_read_us = 100.0;
   bool tier2_demote = true;
-  // Replacement policy of every DRAM buffer-pool partition.
-  std::string replacement = "lru";
   // Mattson replay hash-sampling rate of the MRC diagnosis (1.0 =
   // exact; e.g. 0.125 replays ~1/8 of the pages and scales counts
   // back up).

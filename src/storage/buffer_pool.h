@@ -17,8 +17,9 @@ namespace fglb {
 // whose index links form the LRU list, and an open-addressing page map
 // (linear probing, backward-shift deletion) finds a page's slot. Steady
 // state allocates nothing: an eviction frees the slot the incoming page
-// takes.
-class BufferPool : public PageCache {
+// takes. Final, so the engine's per-access calls through a partition
+// are direct rather than virtual.
+class BufferPool final : public PageCache {
  public:
   explicit BufferPool(uint64_t capacity_pages);
 

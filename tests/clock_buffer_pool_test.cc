@@ -1,4 +1,4 @@
-#include "storage/clock_buffer_pool.h"
+#include "reference/clock_buffer_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 
 namespace fglb {
 namespace {
+
+using reference::ClockBufferPool;
 
 TEST(ClockPoolTest, MissThenHit) {
   ClockBufferPool pool(4);

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "scenarios/harness.h"
-#include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
@@ -85,7 +84,7 @@ TEST(FaultFreeDecisionsTest, TierThrashActionSequenceIsPinned) {
   ClusterHarness harness;
   TierConfig tier;
   tier.pages = 16384;
-  harness.resources().set_engine_defaults(ReplacementPolicy::kLru, tier);
+  harness.resources().set_engine_defaults(tier);
   AssembleSqueeze(&harness, 4.0 / 3.0 * 45);
   harness.Start();
   harness.RunFor(kDuration);

@@ -1,9 +1,9 @@
-#include "storage/arc_buffer_pool.h"
+#include "reference/arc_buffer_pool.h"
 
 #include <algorithm>
 #include <cassert>
 
-namespace fglb {
+namespace fglb::reference {
 
 ArcBufferPool::ArcBufferPool(uint64_t capacity_pages)
     : PageCache(capacity_pages) {}
@@ -178,4 +178,4 @@ void ArcBufferPool::Clear() {
   p_ = 0;
 }
 
-}  // namespace fglb
+}  // namespace fglb::reference

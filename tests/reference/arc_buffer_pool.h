@@ -1,5 +1,5 @@
-#ifndef FGLB_STORAGE_ARC_BUFFER_POOL_H_
-#define FGLB_STORAGE_ARC_BUFFER_POOL_H_
+#ifndef FGLB_TESTS_REFERENCE_ARC_BUFFER_POOL_H_
+#define FGLB_TESTS_REFERENCE_ARC_BUFFER_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -9,7 +9,7 @@
 #include "storage/page.h"
 #include "storage/page_cache.h"
 
-namespace fglb {
+namespace fglb::reference {
 
 // ARC (Adaptive Replacement Cache, Megiddo & Modha, FAST'03) page
 // cache with the same interface surface as BufferPool/ClockBufferPool.
@@ -21,7 +21,9 @@ namespace fglb {
 // scan-resistance a pure LRU/CLOCK pool lacks. Like CLOCK, ARC does
 // *not* satisfy the inclusion property, so the paper's Mattson-based
 // MRC predictions are approximate for it; bench_ablation_replacement
-// quantifies that gap for the quota planner.
+// quantifies that gap for the quota planner. It is that ablation's ARC
+// arm only: the simulated engines run LRU, as the paper's InnoDB pool
+// does.
 class ArcBufferPool : public PageCache {
  public:
   explicit ArcBufferPool(uint64_t capacity_pages);
@@ -82,6 +84,6 @@ class ArcBufferPool : public PageCache {
   std::unordered_map<PageId, Slot> map_;
 };
 
-}  // namespace fglb
+}  // namespace fglb::reference
 
-#endif  // FGLB_STORAGE_ARC_BUFFER_POOL_H_
+#endif  // FGLB_TESTS_REFERENCE_ARC_BUFFER_POOL_H_

@@ -1,9 +1,9 @@
-#include "storage/clock_buffer_pool.h"
+#include "reference/clock_buffer_pool.h"
 
 #include <algorithm>
 #include <cassert>
 
-namespace fglb {
+namespace fglb::reference {
 
 ClockBufferPool::ClockBufferPool(uint64_t capacity_pages)
     : PageCache(capacity_pages), frames_(capacity_pages) {}
@@ -107,4 +107,4 @@ void ClockBufferPool::Clear() {
   hand_ = 0;
 }
 
-}  // namespace fglb
+}  // namespace fglb::reference

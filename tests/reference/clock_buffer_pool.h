@@ -1,5 +1,5 @@
-#ifndef FGLB_STORAGE_CLOCK_BUFFER_POOL_H_
-#define FGLB_STORAGE_CLOCK_BUFFER_POOL_H_
+#ifndef FGLB_TESTS_REFERENCE_CLOCK_BUFFER_POOL_H_
+#define FGLB_TESTS_REFERENCE_CLOCK_BUFFER_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -9,7 +9,7 @@
 #include "storage/page.h"
 #include "storage/page_cache.h"
 
-namespace fglb {
+namespace fglb::reference {
 
 // CLOCK (second-chance) page cache with the same interface surface as
 // BufferPool. Real engines often approximate LRU with CLOCK because it
@@ -18,7 +18,8 @@ namespace fglb {
 // predictions are only approximate for it. The
 // bench_ablation_replacement binary quantifies that gap — the
 // sensitivity of the paper's whole memory-diagnosis pipeline to its
-// LRU assumption.
+// LRU assumption. It is that ablation's CLOCK arm only: the simulated
+// engines run LRU, as the paper's InnoDB pool does.
 class ClockBufferPool : public PageCache {
  public:
   explicit ClockBufferPool(uint64_t capacity_pages);
@@ -61,6 +62,6 @@ class ClockBufferPool : public PageCache {
   size_t hand_ = 0;
 };
 
-}  // namespace fglb
+}  // namespace fglb::reference
 
-#endif  // FGLB_STORAGE_CLOCK_BUFFER_POOL_H_
+#endif  // FGLB_TESTS_REFERENCE_CLOCK_BUFFER_POOL_H_

@@ -17,7 +17,6 @@
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "scenarios/harness.h"
-#include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
@@ -69,10 +68,9 @@ std::vector<std::string> MrcLines(const std::vector<std::string>& lines) {
 // defaults must be set before the first replica exists — a pool's
 // hierarchy is built in its constructor.
 void AssembleTierThrash(ClusterHarness* harness, double duration,
-                        uint64_t seed, const TierConfig& tier,
-                        ReplacementPolicy replacement) {
+                        uint64_t seed, const TierConfig& tier) {
   harness->AddServers(4);
-  harness->resources().set_engine_defaults(replacement, tier);
+  harness->resources().set_engine_defaults(tier);
   PhysicalServer* first = harness->resources().servers()[0].get();
   Scheduler* tpcw = harness->AddApplication(MakeTpcw());
   RubisOptions rubis_options;
@@ -109,7 +107,7 @@ LiveTieredRun RunLive(const std::string& capture_path,
                       const TierConfig& tier) {
   ClusterHarness harness;
   harness.trace().EnableBuffering();
-  AssembleTierThrash(&harness, duration, seed, tier, ReplacementPolicy::kLru);
+  AssembleTierThrash(&harness, duration, seed, tier);
   if (!fault_spec.empty()) {
     FaultSpec spec;
     std::string fault_error;
@@ -236,8 +234,7 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
 
   {
     ClusterHarness harness;
-    AssembleTierThrash(&harness, 60, /*seed=*/3, tier,
-                       ReplacementPolicy::kArc);
+    AssembleTierThrash(&harness, 60, /*seed=*/3, tier);
     CaptureWriter writer(&harness.sim());
     CaptureInfo info;
     info.seed = 3;
@@ -249,7 +246,6 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
     info.max_migrations_per_interval =
         harness.retuner().config().max_migrations_per_interval;
     info.tier_spec = tier.ToString();
-    info.replacement_spec = ReplacementPolicyName(ReplacementPolicy::kArc);
     std::string error;
     ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
         << error;
@@ -264,18 +260,61 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
   EXPECT_EQ(capture.info.tier_spec, "pages=8192,read_us=250,demote=1");
-  EXPECT_EQ(capture.info.replacement_spec, std::string("arc"));
+  EXPECT_EQ(capture.info.replacement_spec, "");
 
-  // Building the replay re-applies both specs as engine defaults before
-  // any replica exists, so the rebuilt engines carry the same hierarchy.
+  // Building the replay re-applies the tier spec as the engine default
+  // before any replica exists, so the rebuilt engines carry the same
+  // hierarchy.
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   const TierConfig& rebuilt = runner.harness()->resources().engine_tier();
   EXPECT_EQ(rebuilt.pages, 8192u);
   EXPECT_DOUBLE_EQ(rebuilt.read_us, 250);
   EXPECT_TRUE(rebuilt.demote);
-  EXPECT_EQ(runner.harness()->resources().engine_replacement(),
-            ReplacementPolicy::kArc);
+  std::remove(path.c_str());
+}
+
+TEST(TieredReplayTest, NonLruReplacementCaptureFailsBuildNamingThePolicy) {
+  // Engines run LRU only. A capture whose info block names another DRAM
+  // policy (from when CLOCK and ARC could run in the loop) cannot be
+  // reproduced, and Build must say which policy it met.
+  const std::string path = TempPath("fglb_tiered_replay_arc.fglbcap");
+  {
+    ClusterHarness harness;
+    AssembleTierThrash(&harness, 60, /*seed=*/3, DefaultTier());
+    CaptureWriter writer(&harness.sim());
+    CaptureInfo info;
+    info.scenario = "tier-thrash";
+    info.duration_seconds = 60;
+    info.interval_seconds = harness.retuner().config().interval_seconds;
+    info.tier_spec = DefaultTier().ToString();
+    info.replacement_spec = "arc";
+    std::string error;
+    ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
+        << error;
+    ASSERT_TRUE(writer.Finalize({}, {}));
+  }
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  EXPECT_EQ(capture.info.replacement_spec, "arc");
+  {
+    ReplayRunner runner(&capture, ReplayBuildOptions{});
+    EXPECT_FALSE(runner.Build(&error));
+    EXPECT_NE(error.find("'arc'"), std::string::npos) << error;
+  }
+  capture.info.replacement_spec = "clock";
+  {
+    ReplayRunner runner(&capture, ReplayBuildOptions{});
+    EXPECT_FALSE(runner.Build(&error));
+    EXPECT_NE(error.find("'clock'"), std::string::npos) << error;
+  }
+  // "lru" names the policy the engines run: the same run as "".
+  capture.info.replacement_spec = "lru";
+  {
+    ReplayRunner runner(&capture, ReplayBuildOptions{});
+    EXPECT_TRUE(runner.Build(&error)) << error;
+  }
   std::remove(path.c_str());
 }
 

@@ -17,7 +17,6 @@
 #include "scenarios/cli_options.h"
 #include "scenarios/harness.h"
 #include "scenarios/report.h"
-#include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
@@ -286,8 +285,6 @@ int main(int argc, char** argv) {
   if (tiered_scenario && tier_config.pages == 0) tier_config.pages = 16384;
   tier_config.read_us = options.tier2_read_us;
   tier_config.demote = options.tier2_demote;
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-  ParseReplacementPolicy(options.replacement, &replacement);  // CLI-validated
 
   SelectiveRetuner::Config retuner_config;
   retuner_config.mrc.sample_rate = options.mrc_sample_rate;
@@ -303,7 +300,7 @@ int main(int argc, char** argv) {
     retuner_config.replica_pool_pages = 4096;
   }
   ClusterHarness harness(retuner_config);
-  harness.resources().set_engine_defaults(replacement, tier_config);
+  harness.resources().set_engine_defaults(tier_config);
   if (tier_config.enabled()) {
     LogInfo("second tier on: %s", tier_config.ToString().c_str());
   }
@@ -418,9 +415,6 @@ int main(int argc, char** argv) {
     info.span_spec = span_spec_text;
     info.mrc_spec = MrcSpecString(retuner_config.mrc);
     info.tier_spec = tier_config.ToString();
-    info.replacement_spec = replacement == ReplacementPolicy::kLru
-                                ? ""
-                                : ReplacementPolicyName(replacement);
     info.stats_spec = stats_spec_text;
     if (ckpt_interval > 0) {
       char ckpt_buf[64];
