@@ -159,6 +159,12 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
     if (error != nullptr) *error = msg;
     return false;
   };
+  // A NaN or infinite bound would reach the simulator's schedule as an
+  // event time; reject it before anything runs.
+  if (!std::isfinite(options_.window_start) ||
+      !std::isfinite(options_.horizon_seconds)) {
+    return fail("what-if window start and horizon must be finite");
+  }
   const double dt = capture_->info.interval_seconds;
 
   // --- window + target selection ---

@@ -8,8 +8,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -305,6 +307,38 @@ TEST(ReplayTest, LegacyStreamingModeCaptureBuildsUnderRecompute) {
   std::remove(path.c_str());
 }
 
+TEST(ReplayTest, EmptyAndGuardOnStatsSpecsBuildTheDefaultChannel) {
+  // Older captures wrote "" for the direct stats hand-off and
+  // "guard=on" for the default channel; both must rebuild the default
+  // channel, the one live runs now use.
+  const std::string path = TempPath("fglb_replay_stats_spec.fglbcap");
+  RunLive(path, "consolidation", "", 1, 1, 60);
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  EXPECT_EQ(capture.info.stats_spec, "");
+  const StatsChannelConfig defaults;
+  for (const char* spec : {"", "guard=on"}) {
+    SCOPED_TRACE(std::string("stats_spec '") + spec + "'");
+    capture.info.stats_spec = spec;
+    ReplayRunner runner(&capture, ReplayBuildOptions{});
+    ASSERT_TRUE(runner.Build(&error)) << error;
+    const StatsChannelConfig& built =
+        runner.harness()->stats_channel()->config();
+    EXPECT_EQ(built.guard, defaults.guard);
+    EXPECT_EQ(built.decay, defaults.decay);
+    EXPECT_EQ(built.recover, defaults.recover);
+    EXPECT_EQ(built.act_threshold, defaults.act_threshold);
+    EXPECT_EQ(built.ToString(), "");
+  }
+  // A non-default spec still reaches the channel.
+  capture.info.stats_spec = "guard=off";
+  ReplayRunner runner(&capture, ReplayBuildOptions{});
+  ASSERT_TRUE(runner.Build(&error)) << error;
+  EXPECT_FALSE(runner.harness()->stats_channel()->config().guard);
+  std::remove(path.c_str());
+}
+
 TEST(ReplayTest, WhatIfRanksCandidatesAndAgreesWithLiveController) {
   const std::string path = TempPath("fglb_replay_whatif.fglbcap");
   RunLive(path, "consolidation", "", 1, 1, 300);
@@ -331,6 +365,35 @@ TEST(ReplayTest, WhatIfRanksCandidatesAndAgreesWithLiveController) {
   EXPECT_EQ(result.candidates[0].name, "migrate");
   EXPECT_EQ(result.live_choice, "migrate");
   EXPECT_TRUE(result.agrees_with_live);
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, WhatIfRejectsNonFiniteWindowBeforeScheduling) {
+  // A NaN window start used to reach Simulator::ScheduleAt as an event
+  // time (an uncaught std::bad_alloc in release builds). Non-finite
+  // bounds must fail cleanly instead, on a capture that does have a
+  // violation window to evaluate.
+  const std::string path = TempPath("fglb_replay_whatif_nan.fglbcap");
+  RunLive(path, "consolidation", "", 1, 1, 300);
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [start, horizon] :
+       std::vector<std::pair<double, double>>{
+           {nan, 60}, {inf, 60}, {-inf, 60}, {-1, inf}, {-1, nan}}) {
+    SCOPED_TRACE("window_start " + std::to_string(start) + " horizon " +
+                 std::to_string(horizon));
+    WhatIfOptions options;
+    options.window_start = start;
+    options.horizon_seconds = horizon;
+    WhatIfRunner runner(&capture, options);
+    WhatIfResult result;
+    error.clear();
+    EXPECT_FALSE(runner.Run(&result, &error));
+    EXPECT_NE(error.find("finite"), std::string::npos) << error;
+  }
   std::remove(path.c_str());
 }
 

@@ -84,6 +84,18 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-live.jsonl" \
 # The other consumers must at least run clean on a real capture.
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if
+# Bad what-if bounds are usage errors (exit 2), not aborts: a NaN window
+# start once reached the simulator's schedule as an event time, and a
+# negative quota wrapped to 2^64-5.
+for bad in --window-start=nan --quota-pages=-5; do
+  rc=0
+  "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if \
+    "${bad}" >/dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "fglb_replay --what-if ${bad} exited ${rc}, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "=== overload smoke: admission control + capture/replay ==="
 # The overload scenario turns admission on automatically; its trace must

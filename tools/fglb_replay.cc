@@ -9,6 +9,8 @@
 //   ./build/tools/fglb_replay run.fglbcap --summary
 //   ./build/tools/fglb_replay run.fglbcap --what-if --horizon=60
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -62,6 +64,18 @@ usage: fglb_replay CAPTURE [options]
   --help             this text
 )";
 
+// A non-negative decimal integer: digits only, so a sign, a blank or
+// an empty value is rejected rather than wrapped or read as 0.
+bool ParseCount(const std::string& value, uint64_t* out) {
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(value.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
 bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
                std::string* error) {
   for (size_t i = 0; i < args.size(); ++i) {
@@ -113,16 +127,17 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
       out->spans_out = value;
     } else if (key == "window-start") {
       out->window_start = std::strtod(value.c_str(), &end);
-      ok = end != nullptr && *end == '\0' && !value.empty();
+      ok = end != nullptr && *end == '\0' && !value.empty() &&
+           std::isfinite(out->window_start);
     } else if (key == "horizon") {
       out->horizon_seconds = std::strtod(value.c_str(), &end);
-      ok = end != nullptr && *end == '\0' && out->horizon_seconds > 0;
+      ok = end != nullptr && *end == '\0' &&
+           std::isfinite(out->horizon_seconds) && out->horizon_seconds > 0;
     } else if (key == "quota-pages") {
-      out->quota_pages = std::strtoull(value.c_str(), &end, 10);
-      ok = end != nullptr && *end == '\0' && !value.empty();
+      ok = ParseCount(value, &out->quota_pages);
     } else if (key == "mrc-threads") {
-      const long threads = std::strtol(value.c_str(), &end, 10);
-      ok = end != nullptr && *end == '\0' && threads >= 0;
+      uint64_t ignored = 0;
+      ok = ParseCount(value, &ignored);
     } else {
       *error = "unknown option --" + key;
       return false;
