@@ -61,7 +61,7 @@ Outcome Run(bool guard, bool lossy) {
   ClusterHarness harness(config);
   StatsChannelConfig channel_config;
   channel_config.guard = guard;
-  harness.ConfigureStatsChannel(channel_config);
+  harness.stats_channel()->set_config(channel_config);
   harness.AddServers(3);
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());
   RubisOptions rubis_options;

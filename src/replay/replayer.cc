@@ -166,7 +166,7 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
                                  &channel_error)) {
     return fail("capture carries unparsable stats spec: " + channel_error);
   }
-  harness->ConfigureStatsChannel(channel_config);
+  harness->stats_channel()->set_config(channel_config);
 
   if (!capture.info.ckpt_spec.empty()) {
     // The only key is "interval=<seconds>".

@@ -276,10 +276,6 @@ FaultInjector* ClusterHarness::InjectFaults(FaultSpec spec, uint64_t seed) {
   return fault_injector_.get();
 }
 
-void ClusterHarness::ConfigureStatsChannel(const StatsChannelConfig& config) {
-  stats_channel_.set_config(config);
-}
-
 void ClusterHarness::EnableCheckpointing(double interval_seconds) {
   if (checkpointing_) return;
   checkpointing_ = true;

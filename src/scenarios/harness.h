@@ -91,9 +91,8 @@ class ClusterHarness {
   // StatsChannel (publish -> deliver -> collect); it is lossless until
   // an injected `net` fault window makes delivery lossy, and the
   // controller then falls back to last-known-good stats with
-  // confidence decay. The channel starts at the default config; call
-  // this before Start() to change its knobs.
-  void ConfigureStatsChannel(const StatsChannelConfig& config);
+  // confidence decay. The channel starts at the default config; set
+  // its knobs before Start().
   StatsChannel* stats_channel() { return &stats_channel_; }
 
   // Arms a recurring FGLBCKPT1 snapshot of the controller's control

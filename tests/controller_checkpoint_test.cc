@@ -162,6 +162,27 @@ TEST(ControllerCheckpointTest, BadMagicIsRejected) {
           .ok);
 }
 
+TEST(ControllerCheckpointTest, BlobWithoutStatsChannelSectionRestores) {
+  // Blobs taken by a harness that ran without a stats channel have no
+  // channel section. They must still restore, leaving the channel's
+  // receiver side cold.
+  Fixture f;
+  const std::string retuner_before = f.RetunerState();
+  const std::string channel_before = f.ChannelState();
+  std::string blob;
+  ControllerCheckpoint::Build(f.harness->sim().Now(), f.harness->retuner(),
+                              nullptr, f.harness->admission(), &blob);
+  f.WipeControlPlane();
+  const std::string cold_channel = f.ChannelState();
+  ASSERT_NE(channel_before, cold_channel);
+
+  const auto result = ControllerCheckpoint::Restore(
+      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(f.RetunerState(), retuner_before);
+  EXPECT_EQ(f.ChannelState(), cold_channel);
+}
+
 TEST(ControllerCheckpointTest, SectionLengthPastCrcIsRejected) {
   // A section claiming more payload than the blob holds must be caught
   // by the bounds check, not read into the CRC tail or past the end.

@@ -28,7 +28,7 @@ std::unique_ptr<ClusterHarness> MakeCluster(bool guard = true) {
   h->trace().EnableBuffering();
   StatsChannelConfig channel_config;
   channel_config.guard = guard;
-  h->ConfigureStatsChannel(channel_config);
+  h->stats_channel()->set_config(channel_config);
   h->EnableCheckpointing();
   h->AddServers(3);
   Scheduler* tpcw = h->AddApplication(MakeTpcw());

@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   }
   StatsChannelConfig channel_config;
   channel_config.guard = options.stats_guard != "off";
-  harness.ConfigureStatsChannel(channel_config);
+  harness.stats_channel()->set_config(channel_config);
   // "" at defaults; replays read "" (and the older "guard=on") as the
   // default channel.
   const std::string stats_spec_text = channel_config.ToString();
