@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
 #include "mrc/miss_ratio_curve.h"
@@ -188,26 +191,42 @@ void WriteJsonSummary(const std::string& path) {
   }
   {
     // End-to-end instrumentation overhead: metrics on vs fully off,
-    // tracing off in both. The ratio is the headline number
-    // (ISSUE target: < 1.02).
-    // The runs are deterministic, so every repetition performs the same
-    // page references.
-    const auto best_of = [](int reps, bool observability) {
-      ScenarioRun best = RunScenario(observability);
-      for (int r = 1; r < reps; ++r) {
-        const ScenarioRun run = RunScenario(observability);
-        if (run.wall_ms < best.wall_ms) best = run;
+    // tracing off in both. One ~150 ms run swings by ±10% with host
+    // noise, so a single ratio says nothing about a 2% target: run
+    // kPairs off/on pairs back to back, alternate which arm goes first,
+    // and report the median of the per-pair on/off ratios with its
+    // quartiles. The runs are deterministic, so every repetition
+    // performs the same page references.
+    constexpr int kPairs = 21;
+    std::vector<double> off_ms, on_ms, ratios;
+    uint64_t off_accesses = 0, on_accesses = 0;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      ScenarioRun off, on;
+      if (pair % 2 == 0) {
+        off = RunScenario(false);
+        on = RunScenario(true);
+      } else {
+        on = RunScenario(true);
+        off = RunScenario(false);
       }
-      return best;
-    };
-    const ScenarioRun off = best_of(3, false);
-    const ScenarioRun on = best_of(3, true);
-    json.Add("scenario_300s_observability_off", off.wall_ms,
-             static_cast<double>(off.accesses));
-    json.Add("scenario_300s_observability_on", on.wall_ms,
-             static_cast<double>(on.accesses));
-    json.AddField("observability_enabled_vs_disabled",
-                  off.wall_ms > 0 ? on.wall_ms / off.wall_ms : 0);
+      off_ms.push_back(off.wall_ms);
+      on_ms.push_back(on.wall_ms);
+      ratios.push_back(on.wall_ms / off.wall_ms);
+      off_accesses = off.accesses;
+      on_accesses = on.accesses;
+    }
+    json.Add("scenario_300s_observability_off", Quantile(off_ms, 0.5),
+             static_cast<double>(off_accesses));
+    json.Add("scenario_300s_observability_on", Quantile(on_ms, 0.5),
+             static_cast<double>(on_accesses));
+    const QuartileSummary ratio = Quartiles(ratios);
+    json.AddField("observability_enabled_vs_disabled", ratio.median);
+    json.AddField("observability_ratio_q1", ratio.q1);
+    json.AddField("observability_ratio_q3", ratio.q3);
+    json.AddField("observability_pairs", kPairs);
+    std::printf("observability on/off: median paired ratio %.4f "
+                "(quartiles %.4f-%.4f, %d pairs)\n",
+                ratio.median, ratio.q1, ratio.q3, kPairs);
   }
   json.WriteTo(path);
 }

@@ -17,13 +17,15 @@ size_t GetVarint64(const uint8_t* p, const uint8_t* limit, uint64_t* v) {
   for (size_t shift = 0, i = 0; shift <= 63 && p + i < limit; ++i,
               shift += 7) {
     const uint8_t byte = p[i];
+    // The tenth byte holds bit 63 only; anything more would be dropped.
+    if (i == 9 && byte > 1) return 0;
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       *v = result;
       return i + 1;
     }
   }
-  return 0;  // truncated or over-long
+  return 0;  // truncated, over-long or overflowing
 }
 
 void PutFixed32(std::string* dst, uint32_t v) {
@@ -69,15 +71,23 @@ double BitsToDouble(uint64_t bits) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables: t[0] is the bytewise table, and t[k][b] is the
+// CRC of byte b followed by k zero bytes, so eight table lookups
+// advance the CRC over eight input bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+      }
     }
   }
 };
@@ -85,12 +95,20 @@ struct Crc32Table {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    // Little-endian loads byte by byte, so alignment never matters.
+    const uint32_t lo = c ^ (static_cast<uint32_t>(p[0]) |
+                             static_cast<uint32_t>(p[1]) << 8 |
+                             static_cast<uint32_t>(p[2]) << 16 |
+                             static_cast<uint32_t>(p[3]) << 24);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -9,8 +9,8 @@ namespace fglb {
 
 // LEB128 varints, zigzag mapping and fixed-width little-endian scalars
 // over std::string buffers, plus CRC-32 — the byte-level codec shared
-// by the legacy per-class trace (format v2) and the capture/replay
-// subsystem. All readers are bounds-checked: they never read past
+// by FGLBCAP1 captures, FGLBCKPT1 checkpoints, the stats channel and
+// admission state. All readers are bounds-checked: they never read past
 // `limit` and report malformed input by returning 0 / false, so a
 // truncated or corrupted file can not crash a decoder.
 
@@ -18,8 +18,8 @@ namespace fglb {
 void PutVarint64(std::string* dst, uint64_t v);
 
 // Decodes a varint starting at `p` (strictly before `limit`). Returns
-// the number of bytes consumed, or 0 if the encoding is truncated or
-// longer than 10 bytes.
+// the number of bytes consumed, or 0 if the encoding is truncated,
+// longer than 10 bytes, or overflows 64 bits (a tenth byte above 1).
 size_t GetVarint64(const uint8_t* p, const uint8_t* limit, uint64_t* v);
 
 // Maps signed deltas onto small unsigned varints. Works for the full

@@ -51,6 +51,7 @@ struct Reader {
   size_t remaining() const { return static_cast<size_t>(limit - p); }
 
   uint64_t U64() {
+    if (p < limit && *p < 0x80) return *p++;  // one-byte varint
     uint64_t v = 0;
     const size_t n = GetVarint64(p, limit, &v);
     if (n == 0) {
@@ -356,8 +357,12 @@ bool DecodeSamples(Reader& r, std::vector<CaptureSample>* samples) {
 }
 
 // Decodes one events block into the capture (the time-delta chain
-// spans blocks, so `prev_time_bits` is carried by the caller).
-bool DecodeEvents(Reader& r, uint64_t* prev_time_bits, Capture* out) {
+// spans blocks, so `prev_time_bits` is carried by the caller). Access
+// strings are validated but not decoded: each execution records where
+// its string starts in the file bytes at `base`, and *accesses counts
+// the accesses seen.
+bool DecodeEvents(Reader& r, const uint8_t* base, uint64_t* prev_time_bits,
+                  Capture* out, uint64_t* accesses) {
   while (r.ok && r.p < r.limit) {
     const uint8_t tag = r.U8();
     *prev_time_bits += static_cast<uint64_t>(r.S64());
@@ -378,24 +383,16 @@ bool DecodeEvents(Reader& r, uint64_t* prev_time_bits, Capture* out) {
       const uint64_t count = r.U64();
       // Each access is at least 2 bytes (flags + 1-byte varint).
       if (!r.PlausibleCount(count, 2)) return false;
-      e.access_begin = out->accesses.size();
+      e.access_offset = static_cast<uint64_t>(r.p - base);
       e.access_count = static_cast<uint32_t>(count);
-      uint64_t prev_page = 0;
+      // The scan CaptureAccesses::AppendTo relies on: flags, then a
+      // well-formed page-delta varint, all inside this block.
       for (uint64_t i = 0; i < count; ++i) {
-        const uint8_t flags = r.U8();
-        if (flags > 3) {
-          r.ok = false;
-          return false;
-        }
-        prev_page += static_cast<uint64_t>(r.S64());
-        PageAccess access;
-        access.page = prev_page;
-        access.kind = (flags & 1) ? AccessKind::kSequential
-                                  : AccessKind::kRandom;
-        access.is_write = (flags & 2) != 0;
-        out->accesses.push_back(access);
+        if (r.U8() > 3) return false;
+        r.U64();
       }
       if (!r.ok) return false;
+      *accesses += count;
       out->executions.push_back(e);
     } else {
       r.ok = false;
@@ -406,6 +403,39 @@ bool DecodeEvents(Reader& r, uint64_t* prev_time_bits, Capture* out) {
 }
 
 }  // namespace
+
+void CaptureAccesses::AppendTo(const CaptureExecution& exec,
+                               std::vector<PageAccess>* out) const {
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes_.data());
+  const uint8_t* limit = data + bytes_.size();
+  const uint8_t* p = data + exec.access_offset;
+  assert(exec.access_offset <= bytes_.size());
+  uint64_t page = 0;
+  for (uint32_t i = 0; i < exec.access_count; ++i) {
+    // ReadCapture checked this string, and every events block is
+    // followed by at least the 9-byte end-block header, so the flags
+    // byte and the next two bytes are always inside the buffer.
+    const uint8_t flags = p[0];
+    const uint64_t b0 = p[1];
+    const uint64_t b1 = p[2];
+    const uint64_t more = b0 >> 7;
+    uint64_t delta = 0;
+    if ((more & (b1 >> 7)) == 0) {
+      // A one- or two-byte delta (~95% of them in real captures),
+      // decoded without branching on its length: a coin-flip branch
+      // would mispredict on every other access.
+      delta = (b0 & 0x7F) | ((b1 & 0x7F) << 7) * more;
+      p += 2 + more;
+    } else {
+      p += 1 + GetVarint64(p + 1, limit, &delta);
+    }
+    page += static_cast<uint64_t>(ZigZagDecode(delta));
+    out->push_back({page,
+                    (flags & 1) != 0 ? AccessKind::kSequential
+                                     : AccessKind::kRandom,
+                    (flags & 2) != 0});
+  }
+}
 
 const ApplicationSpec* Capture::FindApp(AppId app) const {
   for (const auto& spec : topology.apps) {
@@ -564,7 +594,16 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
   };
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return fail("cannot open " + path);
-  std::string body;
+  // The bytes stay in memory as the access pool. A regular file's size
+  // is known, so its buffer is allocated once at exactly that size; a
+  // pipe's grows as it is read.
+  *out = Capture();
+  std::string& body = out->accesses.bytes_;
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    if (size > 0) body.reserve(static_cast<size_t>(size));
+    std::rewind(f);
+  }
   char buf[1 << 16];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) body.append(buf, n);
@@ -576,17 +615,16 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
       std::memcmp(body.data(), kMagic, sizeof(kMagic)) != 0) {
     return fail(path + ": not a capture file (bad magic)");
   }
-  *out = Capture();
 
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(body.data()) +
-                     sizeof(kMagic);
-  const uint8_t* limit = reinterpret_cast<const uint8_t*>(body.data()) +
-                         body.size();
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(body.data());
+  const uint8_t* p = base + sizeof(kMagic);
+  const uint8_t* limit = base + body.size();
   bool seen_info = false;
   bool seen_topology = false;
   bool seen_actions = false;
   bool seen_samples = false;
   uint64_t prev_time_bits = 0;
+  uint64_t accesses = 0;
 
   while (true) {
     if (p == limit) return fail(path + ": truncated (no end block)");
@@ -627,7 +665,7 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
         break;
       case kBlockEvents:
         if (!seen_topology) return fail(path + ": events before topology");
-        if (!DecodeEvents(r, &prev_time_bits, out)) {
+        if (!DecodeEvents(r, base, &prev_time_bits, out, &accesses)) {
           return fail(path + ": bad events block");
         }
         break;
@@ -655,6 +693,7 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
         if (p != limit) {
           return fail(path + ": trailing garbage after end block");
         }
+        out->accesses.count_ = accesses;
         return true;
       default:
         return fail(path + ": unknown block type " + std::to_string(type));

@@ -16,6 +16,7 @@
 namespace fglb {
 
 class ClusterHarness;
+struct Capture;
 
 // Workload capture: a versioned, compact binary recording of one full
 // cluster run — initial topology, every query arrival, every
@@ -120,15 +121,38 @@ struct CaptureArrival {
   uint64_t client_id = 0;
 };
 
-// One recorded execution: `access_count` entries of Capture::accesses
-// starting at `access_begin` (flat pool, avoids per-execution
-// allocations).
+// One recorded execution: `access_count` accesses whose encoded string
+// starts `access_offset` bytes into Capture::accesses' retained file
+// bytes. Decode them with Capture::accesses.AppendTo().
 struct CaptureExecution {
   double t = 0;
-  int replica = 0;
   ClassKey key = 0;
-  uint64_t access_begin = 0;
+  uint64_t access_offset = 0;
+  int replica = 0;
   uint32_t access_count = 0;
+};
+
+// Every execution's page-access string, kept as the CRC-checked
+// FGLBCAP1 bytes ReadCapture read (about 3.4 B/access instead of a
+// 16-byte PageAccess each). ReadCapture validates every string up
+// front — flags, varint framing, counts — so a loaded capture's
+// strings always decode.
+class CaptureAccesses {
+ public:
+  // Accesses captured over all executions.
+  uint64_t size() const { return count_; }
+
+  // Appends `exec`'s `access_count` accesses to *out. `exec` must be
+  // one of the executions of the capture that owns this pool.
+  void AppendTo(const CaptureExecution& exec,
+                std::vector<PageAccess>* out) const;
+
+ private:
+  friend bool ReadCapture(const std::string& path, Capture* out,
+                          std::string* error);
+
+  std::string bytes_;  // the whole capture file
+  uint64_t count_ = 0;
 };
 
 struct CaptureAction {
@@ -162,13 +186,14 @@ struct CaptureSample {
   std::vector<CaptureServerSample> servers;
 };
 
-// A fully loaded capture.
+// A loaded capture: every section decoded except the access strings,
+// which `accesses` decodes per execution on demand.
 struct Capture {
   CaptureInfo info;
   CaptureTopology topology;
   std::vector<CaptureArrival> arrivals;
   std::vector<CaptureExecution> executions;
-  std::vector<PageAccess> accesses;  // flat pool for executions
+  CaptureAccesses accesses;  // the executions' access strings
   std::vector<CaptureAction> actions;
   std::vector<CaptureSample> samples;
 
@@ -222,10 +247,13 @@ class CaptureWriter : public ArrivalRecorder, public ExecutionRecorder {
   bool failed_ = false;
 };
 
-// Loads a capture file written by CaptureWriter. Returns false with a
-// one-line message in *error on I/O error, version mismatch,
-// truncation, checksum mismatch or trailing garbage; *out is left in
-// an unspecified state on failure.
+// Loads a capture file written by CaptureWriter. Every block's CRC and
+// every access string is checked here, but only the small sections
+// are decoded: the file bytes stay in Capture::accesses, which decodes
+// one execution's accesses on demand. Returns false with a one-line
+// message in *error on I/O error, version mismatch, truncation,
+// checksum mismatch, a malformed access string or trailing garbage;
+// *out is left in an unspecified state on failure.
 bool ReadCapture(const std::string& path, Capture* out, std::string* error);
 
 // Snapshots a fully assembled (pre-Start) harness into the topology

@@ -27,10 +27,7 @@ bool CaptureAccessSource::NextAccesses(ClassKey key,
   }
   const CaptureExecution& exec = capture_->executions[it->second.front()];
   it->second.pop_front();
-  out->insert(out->end(),
-              capture_->accesses.begin() + exec.access_begin,
-              capture_->accesses.begin() + exec.access_begin +
-                  exec.access_count);
+  capture_->accesses.AppendTo(exec, out);
   ++served_;
   --remaining_;
   return true;

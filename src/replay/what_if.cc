@@ -200,6 +200,7 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
   // ones first, heaviest distinct-page footprint wins ---
   std::set<ClassKey> before;
   std::map<ClassKey, std::set<PageId>> footprint;
+  std::vector<PageAccess> accesses;
   for (const CaptureExecution& e : capture_->executions) {
     if (e.t < window_start) {
       before.insert(e.key);
@@ -207,9 +208,9 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
     }
     if (e.t >= window_start + dt) continue;
     auto& pages = footprint[e.key];
-    for (uint32_t i = 0; i < e.access_count; ++i) {
-      pages.insert(capture_->accesses[e.access_begin + i].page);
-    }
+    accesses.clear();
+    capture_->accesses.AppendTo(e, &accesses);
+    for (const PageAccess& a : accesses) pages.insert(a.page);
   }
   ClassKey problem = 0;
   size_t best_pages = 0;

@@ -3,6 +3,7 @@
 // byte corruption must be detected by the checksums — never a crash,
 // never silently wrong data.
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/varint.h"
+#include "reference/bytewise_crc32.h"
 #include "replay/capture.h"
 #include "sim/simulator.h"
 
@@ -80,6 +82,22 @@ TEST(ReplayCodecTest, VarintRejectsOverlongEncoding) {
   EXPECT_EQ(GetVarint64(p, p + overlong.size(), &decoded), 0u);
 }
 
+TEST(ReplayCodecTest, VarintRejectsOverflowingTenthByte) {
+  // The tenth byte carries bit 63 alone: FF x9 01 is UINT64_MAX, and
+  // FF x9 7F would silently drop six high bits onto the same value.
+  const std::string max = std::string(9, '\xFF') + '\x01';
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(max.data());
+  uint64_t decoded = 0;
+  ASSERT_EQ(GetVarint64(p, p + max.size(), &decoded), 10u);
+  EXPECT_EQ(decoded, UINT64_MAX);
+  for (int last = 2; last < 0x80; ++last) {
+    const std::string overflow =
+        std::string(9, '\xFF') + static_cast<char>(last);
+    p = reinterpret_cast<const uint8_t*>(overflow.data());
+    EXPECT_EQ(GetVarint64(p, p + overflow.size(), &decoded), 0u) << last;
+  }
+}
+
 TEST(ReplayCodecTest, ZigZagRoundTripsFullDomain) {
   std::mt19937_64 rng(11);
   std::vector<int64_t> values = {0, 1, -1, INT64_MAX, INT64_MIN,
@@ -104,6 +122,26 @@ TEST(ReplayCodecTest, Crc32MatchesKnownVectorAndChains) {
     EXPECT_EQ(Crc32(data.data() + split, data.size() - split,
                     Crc32(data.data(), split)),
               Crc32(data.data(), data.size()));
+  }
+}
+
+TEST(ReplayCodecTest, Crc32MatchesBytewiseReference) {
+  // Every length up to 4096 somewhere, every start alignment of the
+  // slicing-by-8 loop, and seeds chained from earlier pieces.
+  std::mt19937_64 rng(2024);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t align = static_cast<size_t>(trial) % 8;
+    const size_t n = trial < 64 ? static_cast<size_t>(trial)
+                                : static_cast<size_t>(rng() % 4097);
+    const uint32_t seed = trial % 3 == 0 ? 0 : static_cast<uint32_t>(rng());
+    const uint8_t* data = buffer.data() + align;
+    ASSERT_EQ(Crc32(data, n, seed), reference::BytewiseCrc32(data, n, seed))
+        << "length " << n << " alignment " << align << " seed " << seed;
+    const size_t split = n == 0 ? 0 : rng() % (n + 1);
+    EXPECT_EQ(Crc32(data + split, n - split, Crc32(data, split, seed)),
+              reference::BytewiseCrc32(data, n, seed));
   }
 }
 
@@ -165,12 +203,18 @@ TEST(ReplayCodecTest, RandomTraceStreamsRoundTripExactly) {
     ASSERT_TRUE(ReadCapture(path, &capture, &error))
         << "seed " << seed << ": " << error;
     ASSERT_EQ(capture.executions.size(), executions.size());
+    uint64_t total = 0;
+    for (const RandomExecution& e : executions) total += e.accesses.size();
+    EXPECT_EQ(capture.accesses.size(), total);
     for (size_t i = 0; i < executions.size(); ++i) {
       const CaptureExecution& exec = capture.executions[i];
       ASSERT_EQ(exec.key, executions[i].key);
       ASSERT_EQ(exec.access_count, executions[i].accesses.size());
+      std::vector<PageAccess> decoded;
+      capture.accesses.AppendTo(exec, &decoded);
+      ASSERT_EQ(decoded.size(), exec.access_count);
       for (uint32_t j = 0; j < exec.access_count; ++j) {
-        const PageAccess& got = capture.accesses[exec.access_begin + j];
+        const PageAccess& got = decoded[j];
         const PageAccess& want = executions[i].accesses[j];
         ASSERT_EQ(got.page, want.page);
         ASSERT_EQ(got.kind, want.kind);
@@ -339,10 +383,18 @@ TEST(ReplayCodecTest, CaptureRoundTripsExactly) {
     EXPECT_EQ(capture.arrivals[i].client_id, capture2.arrivals[i].client_id);
   }
   ASSERT_EQ(capture2.accesses.size(), capture.accesses.size());
-  for (size_t i = 0; i < capture.accesses.size(); ++i) {
-    EXPECT_EQ(capture.accesses[i].page, capture2.accesses[i].page);
-    EXPECT_EQ(capture.accesses[i].kind, capture2.accesses[i].kind);
-    EXPECT_EQ(capture.accesses[i].is_write, capture2.accesses[i].is_write);
+  ASSERT_EQ(capture2.executions.size(), capture.executions.size());
+  std::vector<PageAccess> accesses, accesses2;
+  for (size_t i = 0; i < capture.executions.size(); ++i) {
+    capture.accesses.AppendTo(capture.executions[i], &accesses);
+    capture2.accesses.AppendTo(capture2.executions[i], &accesses2);
+  }
+  ASSERT_EQ(accesses.size(), capture.accesses.size());
+  ASSERT_EQ(accesses2.size(), accesses.size());
+  for (size_t i = 0; i < accesses.size(); ++i) {
+    EXPECT_EQ(accesses[i].page, accesses2[i].page);
+    EXPECT_EQ(accesses[i].kind, accesses2[i].kind);
+    EXPECT_EQ(accesses[i].is_write, accesses2[i].is_write);
   }
   std::remove(path.c_str());
   std::remove(path2.c_str());
@@ -382,6 +434,199 @@ TEST(ReplayCodecTest, CaptureTruncationAndGarbageDetected) {
   std::string error;
   EXPECT_FALSE(ReadCapture(path, &capture, &error));
   EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+// --- malformed access strings, re-sealed so only the decoder sees them ---
+
+// One block of an FGLBCAP1 file.
+struct Block {
+  uint8_t type = 0;
+  std::string payload;
+};
+
+constexpr uint8_t kEventsBlock = 3;
+
+// Splits a well-formed capture file into its blocks.
+std::vector<Block> SplitBlocks(const std::string& file) {
+  std::vector<Block> blocks;
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(file.data());
+  const uint8_t* limit = base + file.size();
+  size_t pos = 8;  // magic
+  while (pos < file.size()) {
+    Block block;
+    block.type = base[pos];
+    uint32_t len = 0;
+    EXPECT_TRUE(GetFixed32(base + pos + 1, limit, &len));
+    block.payload = file.substr(pos + 9, len);
+    pos += 9 + len;
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+// Joins blocks back into a file with every length and CRC recomputed,
+// so a changed payload passes the checksum and reaches the decoder.
+std::string SealBlocks(const std::vector<Block>& blocks) {
+  std::string file = "FGLBCAP1";
+  for (const Block& block : blocks) {
+    file.push_back(static_cast<char>(block.type));
+    PutFixed32(&file, static_cast<uint32_t>(block.payload.size()));
+    PutFixed32(&file, Crc32(block.payload.data(), block.payload.size()));
+    file += block.payload;
+  }
+  return file;
+}
+
+// An events payload holding one execution at t = 0 whose access count
+// varint is `count`, followed by the raw access bytes `accesses`
+// (flags byte + zigzag page-delta varint per access).
+std::string OneExecutionEvents(uint64_t count, const std::string& accesses) {
+  std::string payload;
+  payload.push_back(2);         // execution tag
+  PutVarint64(&payload, 0);     // time delta: t = 0.0
+  PutVarint64(&payload, 0);     // replica
+  PutVarint64(&payload, MakeClassKey(1, 1));
+  PutVarint64(&payload, count);
+  return payload + accesses;
+}
+
+// Writes a capture whose only events block is `events` and reads it.
+bool ReadWithEvents(const std::string& events, Capture* capture,
+                    std::string* error) {
+  const std::string path = TempPath("fglb_codec_hand_built.bin");
+  std::vector<Block> blocks =
+      SplitBlocks(WriteRandomCapture(path, RandomExecutions(3, 1)));
+  bool replaced = false;
+  for (Block& block : blocks) {
+    if (block.type == kEventsBlock) {
+      block.payload = events;
+      replaced = true;
+    }
+  }
+  EXPECT_TRUE(replaced);
+  WriteBytes(path, SealBlocks(blocks));
+  const bool ok = ReadCapture(path, capture, error);
+  std::remove(path.c_str());
+  return ok;
+}
+
+TEST(ReplayCodecTest, HandBuiltEventsBlockDecodes) {
+  // The well-formed baseline of the rejection cases below: pages 1
+  // (random read) then 3 (sequential write).
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadWithEvents(
+      OneExecutionEvents(2, std::string("\x00\x02\x03\x04", 4)), &capture,
+      &error))
+      << error;
+  ASSERT_EQ(capture.executions.size(), 1u);
+  EXPECT_EQ(capture.accesses.size(), 2u);
+  std::vector<PageAccess> accesses;
+  capture.accesses.AppendTo(capture.executions[0], &accesses);
+  ASSERT_EQ(accesses.size(), 2u);
+  EXPECT_EQ(accesses[0].page, 1u);
+  EXPECT_EQ(accesses[0].kind, AccessKind::kRandom);
+  EXPECT_FALSE(accesses[0].is_write);
+  EXPECT_EQ(accesses[1].page, 3u);
+  EXPECT_EQ(accesses[1].kind, AccessKind::kSequential);
+  EXPECT_TRUE(accesses[1].is_write);
+}
+
+TEST(ReplayCodecTest, ReadCaptureRejectsAccessFlagsAboveThree) {
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadWithEvents(
+      OneExecutionEvents(1, std::string("\x04\x02", 2)), &capture, &error));
+  EXPECT_NE(error.find("bad events block"), std::string::npos) << error;
+}
+
+TEST(ReplayCodecTest, ReadCaptureRejectsAccessVarintCutAtBlockEnd) {
+  Capture capture;
+  std::string error;
+  // The second access's page delta ends on a continuation byte.
+  EXPECT_FALSE(ReadWithEvents(
+      OneExecutionEvents(2, std::string("\x00\x02\x00\x80", 4)), &capture,
+      &error));
+  EXPECT_NE(error.find("bad events block"), std::string::npos) << error;
+}
+
+TEST(ReplayCodecTest, ReadCaptureRejectsAccessCountBeyondBlock) {
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadWithEvents(
+      OneExecutionEvents(1000, std::string("\x00\x02", 2)), &capture,
+      &error));
+  EXPECT_NE(error.find("bad events block"), std::string::npos) << error;
+}
+
+TEST(ReplayCodecTest, ReadCaptureRejectsOverflowingAccessVarint) {
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadWithEvents(
+      OneExecutionEvents(1, std::string(1, '\x00') + std::string(9, '\xFF') +
+                                '\x7F'),
+      &capture, &error));
+  EXPECT_NE(error.find("bad events block"), std::string::npos) << error;
+}
+
+TEST(ReplayCodecTest, ResealedEventsMutationRejectedOrDecodesExactCounts) {
+  // Mutations that keep every CRC valid: whatever ReadCapture accepts
+  // must decode each execution to exactly its access_count accesses
+  // (and, under ASan, without touching a byte outside the file).
+  const std::string path = TempPath("fglb_codec_resealed_fuzz.bin");
+  const std::vector<Block> clean =
+      SplitBlocks(WriteRandomCapture(path, RandomExecutions(77, 80)));
+  std::vector<size_t> events;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    if (clean[i].type == kEventsBlock) events.push_back(i);
+  }
+  ASSERT_FALSE(events.empty());
+  std::mt19937_64 rng(4242);
+  int accepted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Block> blocks = clean;
+    std::string& payload = blocks[events[rng() % events.size()]].payload;
+    ASSERT_FALSE(payload.empty());
+    switch (rng() % 4) {
+      case 0:  // flip bits in one to four bytes
+        for (uint64_t k = 1 + rng() % 4; k > 0; --k) {
+          payload[rng() % payload.size()] ^=
+              static_cast<char>(1 + rng() % 255);
+        }
+        break;
+      case 1:  // overwrite one byte with a varint-shaped value
+        payload[rng() % payload.size()] =
+            static_cast<char>(rng() % 2 == 0 ? 0x80 | rng() : rng() % 4);
+        break;
+      case 2:  // truncate
+        payload.resize(rng() % payload.size());
+        break;
+      default:  // insert a byte
+        payload.insert(payload.begin() +
+                           static_cast<std::ptrdiff_t>(
+                               rng() % (payload.size() + 1)),
+                       static_cast<char>(rng()));
+        break;
+    }
+    WriteBytes(path, SealBlocks(blocks));
+    Capture capture;
+    std::string error;
+    if (!ReadCapture(path, &capture, &error)) continue;
+    ++accepted;
+    uint64_t total = 0;
+    std::vector<PageAccess> accesses;
+    for (const CaptureExecution& exec : capture.executions) {
+      accesses.clear();
+      capture.accesses.AppendTo(exec, &accesses);
+      ASSERT_EQ(accesses.size(), exec.access_count) << "trial " << trial;
+      total += accesses.size();
+    }
+    EXPECT_EQ(total, capture.accesses.size()) << "trial " << trial;
+  }
+  // Both outcomes must actually occur, or the test checks nothing.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 400);
   std::remove(path.c_str());
 }
 

@@ -62,8 +62,8 @@ echo "=== replay smoke: capture -> deterministic replay -> diff ==="
 # controller's action trace to match the live one byte for byte (the
 # --phase=action projection strips the wall-clock header fields).
 "./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
-  --log-level=quiet --capture-out="${SMOKE_DIR}/live.fglbcap" \
-  --trace-out="${SMOKE_DIR}/live.jsonl" >/dev/null
+  --log-level=info --capture-out="${SMOKE_DIR}/live.fglbcap" \
+  --trace-out="${SMOKE_DIR}/live.jsonl" >/dev/null 2>"${SMOKE_DIR}/live.log"
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" \
   --trace-out="${SMOKE_DIR}/replay.jsonl"
 diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/live.jsonl" \
@@ -81,8 +81,20 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-live.jsonl" \
          --phase=action) \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-replay.jsonl" \
          --phase=action)
+# The reader must see exactly the streams the writer recorded: the
+# summary's arrival, execution and page-access counts equal the ones
+# fglb_sim logs as it closes the capture.
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary \
+  | tee "${SMOKE_DIR}/summary.txt"
+written="$(sed -n 's/.*capture: \([0-9]*\) arrivals, \([0-9]*\) executions, \([0-9]*\) accesses,.*/\1 \2 \3/p' \
+  "${SMOKE_DIR}/live.log")"
+read_back="$(sed -n 's/^ *streams *\([0-9]*\) arrivals, \([0-9]*\) executions, \([0-9]*\) page accesses$/\1 \2 \3/p' \
+  "${SMOKE_DIR}/summary.txt")"
+if [ -z "${written}" ] || [ "${written}" != "${read_back}" ]; then
+  echo "capture streams written '${written}', read back '${read_back}'" >&2
+  exit 1
+fi
 # The other consumers must at least run clean on a real capture.
-"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if
 # Bad what-if bounds are usage errors (exit 2), not aborts: a NaN window
 # start once reached the simulator's schedule as an event time, and a
