@@ -279,14 +279,15 @@ void StatsChannel::Retain(const std::vector<int>& live_replica_ids) {
   }
 }
 
-void StatsChannel::EmitRecovery(const char* why, int replica_id, uint64_t seq,
-                                uint64_t stale_intervals, double confidence) {
+void StatsChannel::EmitRecovery(const char* why, int replica_id,
+                                uint64_t report_seq, uint64_t stale_intervals,
+                                double confidence) {
   if (trace_ == nullptr || !trace_->enabled()) return;
   TraceEvent event("recovery");
   event.Num("t", sim_->Now())
       .Str("why", why)
       .Int("replica", replica_id)
-      .Uint("seq", seq)
+      .Uint("report_seq", report_seq)
       .Uint("stale_intervals", stale_intervals)
       .Num("conf", confidence);
   trace_->Emit(event);

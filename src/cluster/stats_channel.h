@@ -128,7 +128,7 @@ class StatsChannel {
   };
 
   void Deliver(const std::string& bytes);
-  void EmitRecovery(const char* why, int replica_id, uint64_t seq,
+  void EmitRecovery(const char* why, int replica_id, uint64_t report_seq,
                     uint64_t stale_intervals, double confidence);
 
   Simulator* sim_;

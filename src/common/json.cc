@@ -89,6 +89,11 @@ std::string JsonValue::Dump() const {
 
 namespace {
 
+// Arrays and objects may nest this deep. The deepest in-repo producer
+// (the metrics snapshot's histogram bucket pairs) nests five levels;
+// the cap only bounds the recursion on hostile input.
+constexpr int kMaxNestingDepth = 256;
+
 // Recursive-descent parser over a string_view cursor.
 class Parser {
  public:
@@ -97,7 +102,7 @@ class Parser {
 
   bool Parse(JsonValue* out) {
     SkipSpace();
-    if (!ParseValue(out)) return false;
+    if (!ParseValue(out, 0)) return false;
     SkipSpace();
     if (pos_ != text_.size()) return Fail("trailing characters");
     return true;
@@ -125,11 +130,15 @@ class Parser {
     return true;
   }
 
-  bool ParseValue(JsonValue* out) {
+  // `depth` counts the arrays and objects enclosing the value.
+  bool ParseValue(JsonValue* out, int depth) {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if ((c == '{' || c == '[') && depth >= kMaxNestingDepth) {
+      return Fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+    if (c == '{') return ParseObject(out, depth + 1);
+    if (c == '[') return ParseArray(out, depth + 1);
     if (c == '"') {
       out->kind = JsonValue::Kind::kString;
       return ParseString(&out->string);
@@ -151,12 +160,41 @@ class Parser {
     return ParseNumber(out);
   }
 
+  // Skips a run of digits; false when there is none.
+  bool Digits(size_t* at) const {
+    const size_t start = *at;
+    while (*at < text_.size() && text_[*at] >= '0' && text_[*at] <= '9') {
+      ++*at;
+    }
+    return *at > start;
+  }
+
+  // RFC 8259 number grammar, scanned before conversion so strtod never
+  // sees (or reads past) anything else: no nan/inf/hex, no leading
+  // zeros or '+', and values that overflow a double are rejected.
   bool ParseNumber(JsonValue* out) {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) return Fail("invalid value");
-    pos_ += static_cast<size_t>(end - begin);
+    size_t end = pos_;
+    if (end < text_.size() && text_[end] == '-') ++end;
+    if (end < text_.size() && text_[end] == '0') {
+      ++end;
+    } else if (!Digits(&end)) {
+      return Fail("invalid value");
+    }
+    if (end < text_.size() && text_[end] == '.') {
+      ++end;
+      if (!Digits(&end)) return Fail("invalid number");
+    }
+    if (end < text_.size() && (text_[end] == 'e' || text_[end] == 'E')) {
+      ++end;
+      if (end < text_.size() && (text_[end] == '+' || text_[end] == '-')) {
+        ++end;
+      }
+      if (!Digits(&end)) return Fail("invalid number");
+    }
+    const std::string span(text_.substr(pos_, end - pos_));
+    const double value = std::strtod(span.c_str(), nullptr);
+    if (!std::isfinite(value)) return Fail("number out of range");
+    pos_ = end;
     out->kind = JsonValue::Kind::kNumber;
     out->number = value;
     return true;
@@ -225,7 +263,7 @@ class Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseArray(JsonValue* out) {
+  bool ParseArray(JsonValue* out, int depth) {
     out->kind = JsonValue::Kind::kArray;
     ++pos_;  // '['
     SkipSpace();
@@ -236,7 +274,7 @@ class Parser {
     for (;;) {
       JsonValue element;
       SkipSpace();
-      if (!ParseValue(&element)) return false;
+      if (!ParseValue(&element, depth)) return false;
       out->array.push_back(std::move(element));
       SkipSpace();
       if (pos_ >= text_.size()) return Fail("unterminated array");
@@ -252,7 +290,7 @@ class Parser {
     }
   }
 
-  bool ParseObject(JsonValue* out) {
+  bool ParseObject(JsonValue* out, int depth) {
     out->kind = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     SkipSpace();
@@ -267,6 +305,9 @@ class Parser {
       }
       std::string key;
       if (!ParseString(&key)) return false;
+      if (out->object.contains(key)) {
+        return Fail("duplicate key \"" + JsonEscape(key) + "\"");
+      }
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return Fail("expected ':'");
@@ -274,7 +315,7 @@ class Parser {
       ++pos_;
       SkipSpace();
       JsonValue value;
-      if (!ParseValue(&value)) return false;
+      if (!ParseValue(&value, depth)) return false;
       out->object.emplace(std::move(key), std::move(value));
       SkipSpace();
       if (pos_ >= text_.size()) return Fail("unterminated object");

@@ -2,6 +2,7 @@
 #define FGLB_COMMON_METRICS_REGISTRY_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -102,6 +103,28 @@ class LatencyHistogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_us_{0};
   std::atomic<double> max_us_{0};
+};
+
+// Records the wall-clock time of its enclosing scope into a histogram
+// when it goes out of scope (early returns included). A null histogram
+// disables it, clock reads and all. This is the simulator's one wall
+// clock: simulated decisions never read it, so it cannot leak into the
+// deterministic artifacts (trace, report, capture).
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(LatencyHistogram* hist) : hist_(hist) {
+    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~ScopedTimer() {
+    if (hist_ == nullptr) return;
+    hist_->Record(std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - start_)
+                      .count());
+  }
+
+ private:
+  LatencyHistogram* hist_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 class MetricsRegistry {

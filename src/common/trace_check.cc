@@ -1,5 +1,6 @@
 #include "common/trace_check.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -10,6 +11,20 @@ namespace {
 
 std::string LineError(size_t line_number, const std::string& message) {
   return "line " + std::to_string(line_number) + ": " + message;
+}
+
+// Reads `key` as an integer in [0, 2^53), the range a double holds
+// exactly; false when it is absent, not a number, fractional or out of
+// range.
+bool CountField(const JsonValue& event, const char* key, int64_t* out) {
+  const JsonValue* value = event.Find(key);
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber) {
+    return false;
+  }
+  const double x = value->number;
+  if (!(x >= 0 && x < 9007199254740992.0) || x != std::floor(x)) return false;
+  *out = static_cast<int64_t>(x);
+  return true;
 }
 
 bool KnownRecoveryWhy(const std::string& why) {
@@ -38,17 +53,16 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
       return false;
     }
     const char* missing = nullptr;
+    int64_t seq = -1;
     if (!event.is_object()) missing = "(not an object)";
     else if (event.NumberOr("v", 0) != 1) missing = "v";
-    else if (event.Find("seq") == nullptr) missing = "seq";
-    else if (event.Find("mono_us") == nullptr) missing = "mono_us";
+    else if (!CountField(event, "seq", &seq)) missing = "seq";
     else if (event.StringOr("phase", "").empty()) missing = "phase";
     if (missing != nullptr) {
       *error = LineError(i + 1, std::string("missing/invalid field ") +
                                     missing);
       return false;
     }
-    const int64_t seq = static_cast<int64_t>(event.NumberOr("seq", -1));
     if (seq != last_seq + 1) {
       *error = LineError(i + 1, "sequence gap (" + std::to_string(seq) +
                                     " after " + std::to_string(last_seq) +
@@ -63,8 +77,7 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
                                       (why.empty() ? "(missing)" : why));
         return false;
       }
-      const JsonValue* replica = event.Find("replica");
-      if (replica == nullptr) {
+      if (event.Find("replica") == nullptr) {
         // A controller-level restore/cold-start replaces the receiver
         // state wholesale; per-replica continuity restarts from there.
         if (why == "stats_resync" || why == "report_lost") {
@@ -78,13 +91,20 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
           *error = LineError(i + 1, "controller recovery event with replica");
           return false;
         }
-        const int64_t id = static_cast<int64_t>(replica->number);
-        const int64_t report_seq =
-            static_cast<int64_t>(event.NumberOr("seq", -1));
-        const int64_t stale =
-            static_cast<int64_t>(event.NumberOr("stale_intervals", -1));
-        if (report_seq < 0) {
-          *error = LineError(i + 1, "recovery event missing report seq");
+        int64_t id = 0;
+        int64_t report_seq = 0;
+        int64_t stale = 0;
+        const char* bad = nullptr;
+        if (!CountField(event, "replica", &id)) {
+          bad = "replica";
+        } else if (!CountField(event, "report_seq", &report_seq)) {
+          bad = "report_seq";
+        } else if (!CountField(event, "stale_intervals", &stale)) {
+          bad = "stale_intervals";
+        }
+        if (bad != nullptr) {
+          *error = LineError(i + 1, std::string("missing/invalid field ") +
+                                        bad);
           return false;
         }
         auto seq_it = last_report_seq.find(id);
@@ -166,24 +186,6 @@ std::string FormatActionEventLine(const JsonValue& event) {
                 event.StringOr("kind", "?").c_str(),
                 event.StringOr("desc", "").c_str());
   return buf;
-}
-
-bool ActionLines(const std::vector<std::string>& lines,
-                 std::vector<std::string>* out, std::string* error) {
-  out->clear();
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    JsonValue event;
-    std::string parse_error;
-    if (!JsonValue::Parse(lines[i], &event, &parse_error)) {
-      *error = LineError(i + 1, parse_error);
-      return false;
-    }
-    if (event.StringOr("phase", "") != "action") continue;
-    std::string rendered = FormatActionEventLine(event);
-    if (!rendered.empty()) out->push_back(std::move(rendered));
-  }
-  return true;
 }
 
 }  // namespace fglb

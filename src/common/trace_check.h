@@ -9,14 +9,17 @@
 namespace fglb {
 
 // Shared validation/rendering over JSONL decision traces: fglb_tracecat
-// implements --check and --phase=action with these, and the
-// deterministic-replay tests call them in-process on TraceLog's
-// buffered lines, so tool and tests cannot drift apart.
+// implements --check and --phase=action with these, and the trace
+// tests call them in-process on TraceLog's buffered lines, so tool and
+// tests cannot drift apart.
 
 // Validates every line against the TraceLog schema: well-formed JSON
-// object, "v" == 1, "seq" gapless from 0, "mono_us" present, non-empty
-// "phase". Empty lines are skipped. On failure returns false with a
-// one-line "line N: ..." message in *error.
+// object, "v" == 1, "seq" an integer gapless from 0, non-empty "phase".
+// Fields the schema no longer writes (the wall-clock "mono_us" and
+// "dur_us" of older traces) are ignored. Per-replica recovery events
+// must carry integer "replica", "report_seq" and "stale_intervals"
+// that stay continuous. Empty lines are skipped. On failure returns
+// false with a one-line "line N: ..." message in *error.
 bool CheckTraceLines(const std::vector<std::string>& lines,
                      std::string* error);
 
@@ -24,13 +27,6 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
 // log does ("t=... [kind] desc\n"); empty for the kind:"none"
 // placeholder events.
 std::string FormatActionEventLine(const JsonValue& event);
-
-// The action-format lines of a raw trace, in order. This is the
-// run-to-run comparable projection of a trace: the header's mono_us is
-// wall-clock and differs across runs, but t/kind/desc must not.
-// Returns false with a message in *error on any unparsable line.
-bool ActionLines(const std::vector<std::string>& lines,
-                 std::vector<std::string>* out, std::string* error);
 
 }  // namespace fglb
 

@@ -73,7 +73,6 @@ bool TraceLog::OpenFile(const std::string& path, std::string* error) {
     return false;
   }
   enabled_ = true;
-  opened_at_ = std::chrono::steady_clock::now();
   return true;
 }
 
@@ -81,19 +80,13 @@ void TraceLog::EnableBuffering() {
   std::lock_guard<std::mutex> lock(mu_);
   buffering_ = true;
   enabled_ = true;
-  opened_at_ = std::chrono::steady_clock::now();
 }
 
 void TraceLog::Emit(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
-  const uint64_t mono_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - opened_at_)
-          .count());
   std::string line = "{\"v\":" + std::to_string(kSchemaVersion) +
                      ",\"seq\":" + std::to_string(next_seq_++) +
-                     ",\"mono_us\":" + std::to_string(mono_us) +
                      event.fields_ + "}";
   if (buffering_) buffer_.push_back(line);
   if (file_ != nullptr) {

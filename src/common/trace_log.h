@@ -1,7 +1,6 @@
 #ifndef FGLB_COMMON_TRACE_LOG_H_
 #define FGLB_COMMON_TRACE_LOG_H_
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -13,7 +12,7 @@ namespace fglb {
 
 // One structured decision-trace event under construction: an ordered
 // list of JSON fields appended behind the common header the TraceLog
-// writes ("v", "seq", "mono_us"). Build one only behind a
+// writes ("v", "seq"). Build one only behind a
 // `trace->enabled()` check — the disabled path must not pay for field
 // formatting.
 class TraceEvent {
@@ -35,11 +34,13 @@ class TraceEvent {
 };
 
 // Append-only JSONL decision trace: one self-contained JSON object per
-// line, schema version tagged ("v":1), sequence-numbered, stamped with
-// a monotonic wall-clock offset since the trace opened. Disabled by
-// default; `enabled()` is a plain bool so un-traced runs pay a single
-// branch per would-be event. Emission is mutex-serialized, so events
-// from worker threads interleave whole-line.
+// line, schema version tagged ("v":1) and sequence-numbered. Every
+// field derives from simulated state, never from the wall clock, so
+// two runs of one invocation (or a run and its replay) write the same
+// bytes. Disabled by default; `enabled()` is a plain bool so
+// un-traced runs pay a single branch per would-be event. Emission is
+// mutex-serialized, so events from worker threads interleave
+// whole-line.
 class TraceLog {
  public:
   static constexpr int kSchemaVersion = 1;
@@ -77,7 +78,6 @@ class TraceLog {
   bool buffering_ = false;
   std::vector<std::string> buffer_;
   uint64_t next_seq_ = 0;
-  std::chrono::steady_clock::time_point opened_at_;
 };
 
 }  // namespace fglb

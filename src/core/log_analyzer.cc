@@ -1,21 +1,10 @@
 #include "core/log_analyzer.h"
 
 #include <cassert>
-#include <chrono>
 
 #include "mrc/opt_oracle.h"
 
 namespace fglb {
-
-namespace {
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 LogAnalyzer::LogAnalyzer(DatabaseEngine* engine, OutlierConfig outlier_config,
                          MrcConfig mrc_config, MetricsRegistry* metrics)
@@ -59,19 +48,17 @@ void LogAnalyzer::RecordStableInterval(
 OutlierReport LogAnalyzer::DetectOutliers(
     AppId app, const std::map<ClassKey, MetricVector>& snapshot,
     double fence_scale) const {
-  const auto start = std::chrono::steady_clock::now();
+  const ScopedTimer timer(outlier_us_);
   std::map<ClassKey, MetricVector> app_only;
   for (const auto& [key, vec] : snapshot) {
     if (AppOf(key) == app) app_only.emplace(key, vec);
   }
-  OutlierReport report = detector_.Detect(app_only, stable_store_, fence_scale);
-  if (outlier_us_ != nullptr) outlier_us_->Record(MicrosSince(start));
-  return report;
+  return detector_.Detect(app_only, stable_store_, fence_scale);
 }
 
 LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
     const std::set<ClassKey>& candidates) {
-  const auto start = std::chrono::steady_clock::now();
+  const ScopedTimer timer(mrc_us_);
   MemoryDiagnosis diagnosis;
   for (ClassKey key : candidates) {
     const SpanPair<PageId> window = engine_->stats().AccessWindowSpans(key);
@@ -106,7 +93,6 @@ LogAnalyzer::MemoryDiagnosis LogAnalyzer::DiagnoseMemory(
     }
     last_recomputation_[key] = std::move(rec);
   }
-  if (mrc_us_ != nullptr) mrc_us_->Record(MicrosSince(start));
   return diagnosis;
 }
 

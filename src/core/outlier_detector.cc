@@ -1,7 +1,6 @@
 #include "core/outlier_detector.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -13,12 +12,6 @@ namespace fglb {
 namespace {
 
 constexpr double kEps = 1e-9;
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 }  // namespace
 
@@ -65,7 +58,6 @@ OutlierReport OutlierDetector::Detect(
   }
 
   for (Metric metric : kAllMetrics) {
-    const auto impact_start = std::chrono::steady_clock::now();
     // 1. current/stable ratios.
     double min_positive_current = std::numeric_limits<double>::infinity();
     for (ClassKey key : with_baseline) {
@@ -101,11 +93,8 @@ OutlierReport OutlierDetector::Detect(
       impact_keys.push_back(key);
     }
 
-    report.impact_us += MicrosSince(impact_start);
-
     // 3. IQR fencing across the application's classes.
     if (impacts.size() < config_.min_classes) continue;
-    const auto fence_start = std::chrono::steady_clock::now();
     const QuartileSummary q = Quartiles(impacts);
     const double inner_lo = q.q1 - mild_fence * q.iqr;
     const double inner_hi = q.q3 + mild_fence * q.iqr;
@@ -138,7 +127,6 @@ OutlierReport OutlierDetector::Detect(
       outlier.high_side = high_side;
       report.outliers.push_back(outlier);
     }
-    report.fence_us += MicrosSince(fence_start);
   }
   return report;
 }

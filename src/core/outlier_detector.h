@@ -70,10 +70,6 @@ struct OutlierReport {
   std::map<Metric, std::map<ClassKey, double>> ratios;
   // Fences per metric that had enough classes for quartiles.
   std::vector<FenceSummary> fences;
-  // Wall-clock spent computing impacts vs applying fences, for the
-  // controller's phase-duration trace.
-  double impact_us = 0;
-  double fence_us = 0;
 
   // Distinct classes with at least one outlier metric ("outlier query
   // contexts").

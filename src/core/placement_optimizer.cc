@@ -1,7 +1,6 @@
 #include "core/placement_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 namespace fglb {
@@ -69,7 +68,9 @@ std::string PlacementPlan::ToString() const {
 PlacementPlan ComputePlacement(const std::vector<ClassLoad>& classes,
                                const PlacementConfig& config,
                                MetricsRegistry* metrics) {
-  const auto start = std::chrono::steady_clock::now();
+  const ScopedTimer timer(
+      metrics != nullptr ? metrics->histogram("controller.plan.placement_us")
+                         : nullptr);
   PlacementPlan plan;
   plan.feasible = true;
 
@@ -113,12 +114,6 @@ PlacementPlan ComputePlacement(const std::vector<ClassLoad>& classes,
       fills.push_back(fill);
       plan.servers.push_back({load.key});
     }
-  }
-  if (metrics != nullptr) {
-    metrics->histogram("controller.plan.placement_us")
-        ->Record(std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - start)
-                     .count());
   }
   return plan;
 }

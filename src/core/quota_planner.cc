@@ -1,31 +1,12 @@
 #include "core/quota_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <numeric>
 
 namespace fglb {
 
 namespace {
-
-// Records elapsed wall-clock into a histogram on scope exit (covers the
-// early returns in Plan without restructuring them).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram* hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    if (hist_ == nullptr) return;
-    hist_->Record(std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count());
-  }
-
- private:
-  LatencyHistogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 uint64_t SumTotalNeed(const std::vector<ClassMemoryProfile>& profiles) {
   uint64_t sum = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -20,12 +19,6 @@ std::string ClassLabel(ClassKey key) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "app=%u/class=%u", AppOf(key), ClassOf(key));
   return buf;
-}
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 // {"app":1,"cls":3} fragment used by every per-class trace payload.
@@ -166,8 +159,7 @@ void SelectiveRetuner::EmitActionEvent(const Action& action) {
 }
 
 void SelectiveRetuner::BeginViolationScope(
-    Scheduler* scheduler, const Scheduler::IntervalReport& report,
-    double end_interval_us) {
+    Scheduler* scheduler, const Scheduler::IntervalReport& report) {
   scope_ = ViolationScope{};
   scope_.active = true;
   scope_.app = scheduler->app().id;
@@ -183,8 +175,7 @@ void SelectiveRetuner::BeginViolationScope(
       .Num("throughput", report.throughput)
       .Bool("sla_met", report.sla_met)
       .Int("streak", violation_streak_[scope_.app])
-      .Int("servers_used", resources_->ServersUsedBy(*scheduler))
-      .Num("dur_us", end_interval_us);
+      .Int("servers_used", resources_->ServersUsedBy(*scheduler));
   // Telemetry health of this app's replica set.
   double min_conf = 1.0;
   int stale = 0;
@@ -224,8 +215,7 @@ void SelectiveRetuner::EndViolationScope(const char* why) {
       event.Num("t", sim_->Now())
           .Uint("app", scope_.app)
           .Bool("skipped", true)
-          .Str("why", why)
-          .Num("dur_us", 0);
+          .Str("why", why);
       trace_->Emit(event);
     }
     if (actions_.size() == scope_.actions_before) {
@@ -286,8 +276,7 @@ void SelectiveRetuner::TraceOutlierPhases(AppId app, int replica_id,
   impact.Num("t", sim_->Now())
       .Uint("app", app)
       .Int("replica", replica_id)
-      .Raw("classes", classes)
-      .Num("dur_us", report.impact_us);
+      .Raw("classes", classes);
   if (spans_ != nullptr) {
     // Measured latency breakdown alongside the inferred ratios: every
     // value derives from simulated time, so replays reproduce it.
@@ -339,15 +328,14 @@ void SelectiveRetuner::TraceOutlierPhases(AppId app, int replica_id,
       .Int("replica", replica_id)
       .Raw("fences", fences)
       .Raw("outliers", outliers)
-      .Raw("new_classes", fresh)
-      .Num("dur_us", report.fence_us);
+      .Raw("new_classes", fresh);
   trace_->Emit(iqr);
   scope_.iqr_emitted = true;
 }
 
 void SelectiveRetuner::TraceMrcPhase(
-    AppId app, int replica_id, double dur_us, size_t candidates,
-    LogAnalyzer& analyzer, const LogAnalyzer::MemoryDiagnosis& diagnosis,
+    AppId app, int replica_id, size_t candidates, LogAnalyzer& analyzer,
+    const LogAnalyzer::MemoryDiagnosis& diagnosis,
     const TieredBufferPool* tier2) {
   auto profile_array = [&analyzer](
                            const std::vector<ClassMemoryProfile>& profiles) {
@@ -399,8 +387,7 @@ void SelectiveRetuner::TraceMrcPhase(
   event.Uint("candidates", candidates)
       .Raw("suspects", profile_array(diagnosis.suspects))
       .Raw("cleared", profile_array(diagnosis.cleared))
-      .Raw("insufficient", insufficient)
-      .Num("dur_us", dur_us);
+      .Raw("insufficient", insufficient);
   trace_->Emit(event);
   scope_.mrc_emitted = true;
 }
@@ -428,7 +415,7 @@ void SelectiveRetuner::NoteTopologyChange(AppId app) {
 }
 
 void SelectiveRetuner::Tick() {
-  const auto tick_start = std::chrono::steady_clock::now();
+  const ScopedTimer timer(tick_us_);
   const double interval = config_.interval_seconds;
   migrations_this_interval_ = 0;
   PruneDeadAnalyzers();
@@ -476,11 +463,8 @@ void SelectiveRetuner::Tick() {
 
   // 2. Close the interval on every application.
   std::map<Scheduler*, Scheduler::IntervalReport> reports;
-  std::map<Scheduler*, double> end_interval_us;
   for (Scheduler* s : schedulers_) {
-    const auto end_start = std::chrono::steady_clock::now();
     const Scheduler::IntervalReport report = s->EndInterval(interval);
-    end_interval_us[s] = MicrosSince(end_start);
     reports.emplace(s, report);
     AppSample as;
     as.app = s->app().id;
@@ -539,7 +523,7 @@ void SelectiveRetuner::Tick() {
       calm_streak_[app] = 0;
       ++violation_streak_[app];
       if (violations_ != nullptr) violations_->Increment();
-      BeginViolationScope(s, report, end_interval_us[s]);
+      BeginViolationScope(s, report);
       Replica* fresh =
           resources_->ProvisionReplica(s, config_.replica_pool_pages);
       if (fresh != nullptr) {
@@ -561,19 +545,19 @@ void SelectiveRetuner::Tick() {
       if (violations_ != nullptr) violations_->Increment();
       if (config_.enable_actions && s->replicas().empty()) {
         // Bootstrap: an application with no capacity at all.
-        BeginViolationScope(s, report, end_interval_us[s]);
+        BeginViolationScope(s, report);
         TryCpuProvisioning(s);
         EndViolationScope("bootstrap");
         continue;
       }
       if (InWarmup(app)) {
         // Pools still filling; hold fire.
-        BeginViolationScope(s, report, end_interval_us[s]);
+        BeginViolationScope(s, report);
         EndViolationScope("warmup");
         continue;
       }
       ++violation_streak_[app];
-      BeginViolationScope(s, report, end_interval_us[s]);
+      BeginViolationScope(s, report);
       EndViolationScope(HandleViolation(s, report, snapshots));
     } else {
       violation_streak_[app] = 0;
@@ -586,7 +570,6 @@ void SelectiveRetuner::Tick() {
     server->ResetUtilizationWindow();
   }
   samples_.push_back(std::move(sample));
-  if (tick_us_ != nullptr) tick_us_->Record(MicrosSince(tick_start));
 }
 
 const char* SelectiveRetuner::HandleViolation(
@@ -729,15 +712,14 @@ bool SelectiveRetuner::TryMemoryRetuning(
     if (candidates.empty()) continue;
 
     // 4d. MRC recomputation narrows candidates to true suspects.
-    const auto mrc_start = std::chrono::steady_clock::now();
     LogAnalyzer::MemoryDiagnosis diagnosis =
         analyzer.DiagnoseMemory(candidates);
     if (spans_ != nullptr && scope_.active) {
       spans_->RecordPhase("mrc", app, sim_->Now());
     }
     if (Tracing() && scope_.active) {
-      TraceMrcPhase(app, r->id(), MicrosSince(mrc_start), candidates.size(),
-                    analyzer, diagnosis, r->engine().tier2());
+      TraceMrcPhase(app, r->id(), candidates.size(), analyzer, diagnosis,
+                    r->engine().tier2());
     }
     DiagnosisRecord record;
     record.time = sim_->Now();

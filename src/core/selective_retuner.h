@@ -354,8 +354,7 @@ class SelectiveRetuner {
   // action) — or a single kind:"none" action carrying `why` when the
   // interval acted on nothing.
   void BeginViolationScope(Scheduler* scheduler,
-                           const Scheduler::IntervalReport& report,
-                           double end_interval_us);
+                           const Scheduler::IntervalReport& report);
   void EndViolationScope(const char* why);
   bool Tracing() const { return trace_ != nullptr && trace_->enabled(); }
   void TraceOutlierPhases(AppId app, int replica_id,
@@ -363,8 +362,8 @@ class SelectiveRetuner {
   // `tier2` non-null adds the engine's second-tier state to the event
   // (tier2_pages/tier2_resident/tier2_read_us); tierless traces are
   // byte-identical to before the tier existed.
-  void TraceMrcPhase(AppId app, int replica_id, double dur_us,
-                     size_t candidates, LogAnalyzer& analyzer,
+  void TraceMrcPhase(AppId app, int replica_id, size_t candidates,
+                     LogAnalyzer& analyzer,
                      const LogAnalyzer::MemoryDiagnosis& diagnosis,
                      const TieredBufferPool* tier2);
   void EmitActionEvent(const Action& action);

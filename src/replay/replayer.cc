@@ -219,25 +219,30 @@ bool ReplayRunner::Build(std::string* error) {
 }
 
 void ReplayRunner::FeedFrom(size_t index) {
-  if (index >= capture_->arrivals.size()) return;
-  const CaptureArrival& a = capture_->arrivals[index];
-  harness_->sim().ScheduleAt(a.t, [this, index] {
-    const CaptureArrival& arrival = capture_->arrivals[index];
-    auto it = schedulers_.find(arrival.app);
-    if (it != schedulers_.end()) {
-      const QueryTemplate* tmpl =
-          it->second->app().FindTemplate(arrival.cls);
-      if (tmpl != nullptr) {
-        QueryInstance query;
-        query.app = arrival.app;
-        query.tmpl = tmpl;
-        query.client_id = arrival.client_id;
-        query.submit_time = harness_->sim().Now();
-        it->second->Submit(query, nullptr);
-        ++arrivals_fed_;
-      }
+  const std::vector<CaptureArrival>& arrivals = capture_->arrivals;
+  if (index >= arrivals.size()) return;
+  harness_->sim().ScheduleAt(arrivals[index].t, [this, &arrivals, index] {
+    // Arrivals sharing one instant were submitted by one live event (a
+    // cohort batch), so they are submitted by one event here too: the
+    // zero-delay work they schedule (lock grants) then runs after all
+    // of them, in the live order.
+    size_t next = index;
+    for (; next < arrivals.size() && arrivals[next].t == arrivals[index].t;
+         ++next) {
+      const CaptureArrival& arrival = arrivals[next];
+      auto it = schedulers_.find(arrival.app);
+      if (it == schedulers_.end()) continue;
+      const QueryTemplate* tmpl = it->second->app().FindTemplate(arrival.cls);
+      if (tmpl == nullptr) continue;
+      QueryInstance query;
+      query.app = arrival.app;
+      query.tmpl = tmpl;
+      query.client_id = arrival.client_id;
+      query.submit_time = harness_->sim().Now();
+      it->second->Submit(query, nullptr);
+      ++arrivals_fed_;
     }
-    FeedFrom(index + 1);
+    FeedFrom(next);
   });
 }
 

@@ -19,9 +19,9 @@ namespace fglb {
 // recorded per-class page-access strings instead of generating fresh
 // ones. Since the simulator itself is deterministic (events ordered by
 // time then scheduling sequence), the controller then sees identical
-// inputs and produces an identical action trace — the replay tests and
-// ci.sh assert byte equality of the ActionLines projection against the
-// live run.
+// inputs and produces an identical decision trace — the replay tests
+// compare the buffered trace lines whole and ci.sh `cmp`s the replayed
+// --trace-out file against the live one.
 
 struct ReplayBuildOptions {
   // Lenient replay tolerates access-string exhaustion (engines fall

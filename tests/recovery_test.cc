@@ -9,6 +9,7 @@
 #include "common/trace_check.h"
 #include "scenarios/harness.h"
 #include "sim/fault_injector.h"
+#include "trace_compare.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
@@ -130,8 +131,8 @@ TEST(RecoveryTest, RestartResumesWithinOneIntervalFromCheckpoint) {
 
 TEST(RecoveryTest, CtlFaultRoundTripsDeterministically) {
   // The same crash/restart driven by the fault injector's ctl kind,
-  // twice: byte-identical action logs, and the controller demonstrably
-  // went down and came back.
+  // twice: byte-identical decision traces, and the controller
+  // demonstrably went down and came back.
   auto run = [] {
     auto h = MakeCluster();
     FaultSpec spec;
@@ -143,18 +144,13 @@ TEST(RecoveryTest, CtlFaultRoundTripsDeterministically) {
     h->Start();
     h->RunFor(420);
     EXPECT_FALSE(h->controller_down());
-    std::vector<std::string> actions;
+    std::vector<std::string> lines = h->trace().BufferedLines();
     std::string check_error;
-    EXPECT_TRUE(
-        ActionLines(h->trace().BufferedLines(), &actions, &check_error))
-        << check_error;
-    EXPECT_TRUE(CheckTraceLines(h->trace().BufferedLines(), &check_error))
-        << check_error;
-    return actions;
+    EXPECT_TRUE(CheckTraceLines(lines, &check_error)) << check_error;
+    return lines;
   };
   const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b);
+  EXPECT_TRUE(SameTrace(a, run()));
 }
 
 TEST(RecoveryTest, GuardSuppressesPlacementActionsDuringOutage) {

@@ -492,9 +492,15 @@ std::string OneExecutionEvents(uint64_t count, const std::string& accesses) {
 }
 
 // Writes a capture whose only events block is `events` and reads it.
+// The file is named after the running test: ctest runs the callers as
+// concurrent processes, which must not share one path.
 bool ReadWithEvents(const std::string& events, Capture* capture,
                     std::string* error) {
-  const std::string path = TempPath("fglb_codec_hand_built.bin");
+  const std::string name =
+      std::string("fglb_codec_hand_built_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
+  const std::string path = TempPath(name.c_str());
   std::vector<Block> blocks =
       SplitBlocks(WriteRandomCapture(path, RandomExecutions(3, 1)));
   bool replaced = false;

@@ -1,6 +1,6 @@
 // Deterministic replay: a capture of a live run, replayed through
-// ReplayRunner, must reproduce the controller's decision trace
-// byte-for-byte (the --phase=action projection), for a clean scenario
+// ReplayRunner, must reproduce the controller's whole decision trace
+// byte-for-byte, for a clean scenario
 // and for one running under an injected fault schedule; replayed MRC
 // diagnoses (OPT regret included) must equal the live run's, also for a
 // capture whose mrc spec names the retired streaming mode. Plus the
@@ -16,11 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/trace_check.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "replay/what_if.h"
 #include "scenarios/harness.h"
+#include "trace_compare.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
@@ -74,12 +74,12 @@ void AssembleChaos(ClusterHarness* harness, uint64_t seed) {
 }
 
 struct LiveRun {
-  std::vector<std::string> action_lines;
+  std::vector<std::string> trace_lines;
   size_t action_count = 0;
 };
 
-// Runs a live harness with capture attached, returns its action-trace
-// projection, and leaves the capture at `capture_path`.
+// Runs a live harness with capture attached, returns its buffered
+// decision trace, and leaves the capture at `capture_path`.
 LiveRun RunLive(const std::string& capture_path, const std::string& scenario,
                 const std::string& fault_spec, uint64_t seed,
                 uint64_t fault_seed, double duration) {
@@ -124,14 +124,12 @@ LiveRun RunLive(const std::string& capture_path, const std::string& scenario,
 
   LiveRun result;
   result.action_count = harness.retuner().actions().size();
-  EXPECT_TRUE(ActionLines(harness.trace().BufferedLines(),
-                          &result.action_lines, &error))
-      << error;
+  result.trace_lines = harness.trace().BufferedLines();
   return result;
 }
 
 // Replays `capture_path` strictly and returns the replayed run's
-// action-trace projection.
+// buffered decision trace.
 std::vector<std::string> RunReplay(const std::string& capture_path,
                                    size_t* actions_out) {
   Capture capture;
@@ -144,28 +142,20 @@ std::vector<std::string> RunReplay(const std::string& capture_path,
   EXPECT_EQ(runner.source()->misses(), 0u);
   EXPECT_EQ(runner.source()->remaining(), 0u);
   *actions_out = runner.harness()->retuner().actions().size();
-  std::vector<std::string> lines;
-  EXPECT_TRUE(ActionLines(runner.harness()->trace().BufferedLines(), &lines,
-                          &error))
-      << error;
-  return lines;
+  return runner.harness()->trace().BufferedLines();
 }
 
 TEST(ReplayTest, ConsolidationReplayMatchesLiveActionTrace) {
   const std::string path = TempPath("fglb_replay_consolidation.fglbcap");
   const LiveRun live = RunLive(path, "consolidation", "", 1, 1, 300);
   // The run must actually exercise the controller, or byte-equality of
-  // empty traces would prove nothing.
+  // quiet traces would prove little.
   ASSERT_GT(live.action_count, 0u);
-  ASSERT_FALSE(live.action_lines.empty());
 
   size_t replay_actions = 0;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
   EXPECT_EQ(replay_actions, live.action_count);
-  ASSERT_EQ(replayed.size(), live.action_lines.size());
-  for (size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
-  }
+  EXPECT_TRUE(SameTrace(live.trace_lines, replayed));
   std::remove(path.c_str());
 }
 
@@ -175,15 +165,12 @@ TEST(ReplayTest, ChaosReplayWithFaultSpecMatchesLiveActionTrace) {
       "crash@100:replica=1,restart=60;"
       "stats@150:replica=0,mode=partial,duration=60";
   const LiveRun live = RunLive(path, "chaos-replica", fault_spec, 1, 7, 300);
-  ASSERT_FALSE(live.action_lines.empty());
+  ASSERT_GT(live.action_count, 0u);
 
   size_t replay_actions = 0;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
   EXPECT_EQ(replay_actions, live.action_count);
-  ASSERT_EQ(replayed.size(), live.action_lines.size());
-  for (size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
-  }
+  EXPECT_TRUE(SameTrace(live.trace_lines, replayed));
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,7 @@
 // Tiered capture→replay: a run whose engines carry a second-tier
-// cache must replay byte-for-byte — the --phase=action projection
-// (demote actions included) and the phase=mrc events with their
-// per-tier fields — and the TierConfig must round-trip through the
+// cache must replay its whole decision trace byte-for-byte — demote
+// actions and the phase=mrc events' per-tier fields included — and
+// the TierConfig must round-trip through the
 // FGLBCAP1 info block so the replayed engines rebuild the exact same
 // buffer hierarchy before any replica exists.
 
@@ -13,11 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/trace_check.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "scenarios/harness.h"
 #include "storage/tiered_buffer_pool.h"
+#include "trace_compare.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
@@ -26,39 +26,6 @@ namespace {
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-// Erases every `"key":<number>` field from a JSON line (with whichever
-// neighbouring comma keeps the rest well-formed). Used to drop the
-// wall-clock fields (mono_us, dur_us) before byte-comparing trace
-// lines: everything else in a phase=mrc event derives from simulated
-// time and must reproduce exactly.
-std::string StripNumberField(std::string line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  for (;;) {
-    const size_t at = line.find(needle);
-    if (at == std::string::npos) return line;
-    size_t end = at + needle.size();
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-    if (end < line.size() && line[end] == ',') {
-      ++end;
-    } else if (at > 0 && line[at - 1] == ',') {
-      line.erase(at - 1, end - at + 1);
-      continue;
-    }
-    line.erase(at, end - at);
-  }
-}
-
-// The --phase=mrc projection of a buffered trace, wall-clock stripped.
-std::vector<std::string> MrcLines(const std::vector<std::string>& lines) {
-  std::vector<std::string> out;
-  for (const std::string& line : lines) {
-    if (line.find("\"phase\":\"mrc\"") == std::string::npos) continue;
-    out.push_back(
-        StripNumberField(StripNumberField(line, "mono_us"), "dur_us"));
-  }
-  return out;
 }
 
 // Mirrors fglb_sim's tier-thrash scenario: the consolidation squeeze
@@ -94,13 +61,12 @@ TierConfig DefaultTier() {
 }
 
 struct LiveTieredRun {
-  std::vector<std::string> action_lines;
-  std::vector<std::string> mrc_lines;
+  std::vector<std::string> trace_lines;
   size_t action_count = 0;
 };
 
-// Runs a live tiered harness with capture attached, returns its action
-// and mrc trace projections, and leaves the capture at `capture_path`.
+// Runs a live tiered harness with capture attached, returns its
+// buffered decision trace, and leaves the capture at `capture_path`.
 LiveTieredRun RunLive(const std::string& capture_path,
                       const std::string& fault_spec, uint64_t seed,
                       uint64_t fault_seed, double duration,
@@ -140,14 +106,11 @@ LiveTieredRun RunLive(const std::string& capture_path,
 
   LiveTieredRun result;
   result.action_count = harness.retuner().actions().size();
-  EXPECT_TRUE(ActionLines(harness.trace().BufferedLines(),
-                          &result.action_lines, &error))
-      << error;
-  result.mrc_lines = MrcLines(harness.trace().BufferedLines());
+  result.trace_lines = harness.trace().BufferedLines();
   return result;
 }
 
-// Replays `capture_path` strictly and returns the same projections.
+// Replays `capture_path` strictly and returns the same record.
 LiveTieredRun RunReplay(const std::string& capture_path) {
   Capture capture;
   std::string error;
@@ -160,19 +123,8 @@ LiveTieredRun RunReplay(const std::string& capture_path) {
 
   LiveTieredRun result;
   result.action_count = runner.harness()->retuner().actions().size();
-  EXPECT_TRUE(ActionLines(runner.harness()->trace().BufferedLines(),
-                          &result.action_lines, &error))
-      << error;
-  result.mrc_lines = MrcLines(runner.harness()->trace().BufferedLines());
+  result.trace_lines = runner.harness()->trace().BufferedLines();
   return result;
-}
-
-bool AnyContains(const std::vector<std::string>& lines,
-                 const std::string& needle) {
-  for (const std::string& line : lines) {
-    if (line.find(needle) != std::string::npos) return true;
-  }
-  return false;
 }
 
 TEST(TieredReplayTest, TierThrashReplayMatchesLiveActionAndMrcTraces) {
@@ -181,22 +133,13 @@ TEST(TieredReplayTest, TierThrashReplayMatchesLiveActionAndMrcTraces) {
   // The run must take the new rung, or byte-equality proves nothing
   // about it.
   ASSERT_GT(live.action_count, 0u);
-  ASSERT_TRUE(AnyContains(live.action_lines, "[demote]"));
+  ASSERT_TRUE(AnyLineContains(live.trace_lines, "\"kind\":\"demote\""));
   // Tiered engines stamp their tier state on every mrc diagnosis.
-  ASSERT_FALSE(live.mrc_lines.empty());
-  ASSERT_TRUE(AnyContains(live.mrc_lines, "\"tier2_pages\""));
+  ASSERT_TRUE(AnyLineContains(live.trace_lines, "\"tier2_pages\""));
 
   const LiveTieredRun replayed = RunReplay(path);
   EXPECT_EQ(replayed.action_count, live.action_count);
-  ASSERT_EQ(replayed.action_lines.size(), live.action_lines.size());
-  for (size_t i = 0; i < replayed.action_lines.size(); ++i) {
-    EXPECT_EQ(replayed.action_lines[i], live.action_lines[i])
-        << "action line " << i;
-  }
-  ASSERT_EQ(replayed.mrc_lines.size(), live.mrc_lines.size());
-  for (size_t i = 0; i < replayed.mrc_lines.size(); ++i) {
-    EXPECT_EQ(replayed.mrc_lines[i], live.mrc_lines[i]) << "mrc line " << i;
-  }
+  EXPECT_TRUE(SameTrace(live.trace_lines, replayed.trace_lines));
   std::remove(path.c_str());
 }
 
@@ -209,19 +152,11 @@ TEST(TieredReplayTest, TierFailReplayMatchesLiveActionTrace) {
       "tier@300:replica=0,mode=degrade,factor=10,duration=75";
   const LiveTieredRun live =
       RunLive(path, fault_spec, 1, 7, 450, DefaultTier());
-  ASSERT_FALSE(live.action_lines.empty());
+  ASSERT_GT(live.action_count, 0u);
 
   const LiveTieredRun replayed = RunReplay(path);
   EXPECT_EQ(replayed.action_count, live.action_count);
-  ASSERT_EQ(replayed.action_lines.size(), live.action_lines.size());
-  for (size_t i = 0; i < replayed.action_lines.size(); ++i) {
-    EXPECT_EQ(replayed.action_lines[i], live.action_lines[i])
-        << "action line " << i;
-  }
-  ASSERT_EQ(replayed.mrc_lines.size(), live.mrc_lines.size());
-  for (size_t i = 0; i < replayed.mrc_lines.size(); ++i) {
-    EXPECT_EQ(replayed.mrc_lines[i], live.mrc_lines[i]) << "mrc line " << i;
-  }
+  EXPECT_TRUE(SameTrace(live.trace_lines, replayed.trace_lines));
   std::remove(path.c_str());
 }
 

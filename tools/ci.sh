@@ -44,6 +44,32 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
   --phase=action >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/trace.jsonl" --summary
 test -s "${SMOKE_DIR}/metrics.json"
+# The trace carries no wall clock: the same invocation writes the same
+# bytes.
+"./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
+  --log-level=quiet --trace-out="${SMOKE_DIR}/trace-again.jsonl" >/dev/null
+cmp "${SMOKE_DIR}/trace.jsonl" "${SMOKE_DIR}/trace-again.jsonl"
+# --check must reject hostile input with exit 1, not crash: a line of
+# two million '[' (once unbounded recursion), a non-JSON number in the
+# header, and a replica whose report sequence number goes backwards.
+expect_check_rejects() {
+  local rc=0
+  "./${PREFIX}/tools/fglb_tracecat" "$1" --check 2>/dev/null || rc=$?
+  if [ "${rc}" -ne 1 ]; then
+    echo "fglb_tracecat --check on $(basename "$1") exited ${rc}, want 1" >&2
+    exit 1
+  fi
+}
+{ head -c 2000000 /dev/zero | tr '\0' '['; echo; } \
+  > "${SMOKE_DIR}/deep.jsonl"
+expect_check_rejects "${SMOKE_DIR}/deep.jsonl"
+echo '{"v":1,"seq":nan,"phase":"sla"}' > "${SMOKE_DIR}/nan-seq.jsonl"
+expect_check_rejects "${SMOKE_DIR}/nan-seq.jsonl"
+printf '%s\n' \
+  '{"v":1,"seq":0,"phase":"recovery","t":30,"why":"report_lost","replica":0,"report_seq":14,"stale_intervals":1,"conf":1}' \
+  '{"v":1,"seq":1,"phase":"recovery","t":60,"why":"stats_resync","replica":0,"report_seq":3,"stale_intervals":1,"conf":1}' \
+  > "${SMOKE_DIR}/report-seq.jsonl"
+expect_check_rejects "${SMOKE_DIR}/report-seq.jsonl"
 
 echo "=== chaos smoke: deterministic fault injection under trace ==="
 # A chaos scenario run end to end: the injected crash/stats/migration
@@ -57,19 +83,16 @@ echo "=== chaos smoke: deterministic fault injection under trace ==="
   --phase=action >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" --summary
 
-echo "=== replay smoke: capture -> deterministic replay -> diff ==="
+echo "=== replay smoke: capture -> deterministic replay -> cmp ==="
 # Capture a live consolidation run, replay it, and require the replayed
-# controller's action trace to match the live one byte for byte (the
-# --phase=action projection strips the wall-clock header fields).
+# controller's whole decision trace to match the live one byte for
+# byte.
 "./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
   --log-level=info --capture-out="${SMOKE_DIR}/live.fglbcap" \
   --trace-out="${SMOKE_DIR}/live.jsonl" >/dev/null 2>"${SMOKE_DIR}/live.log"
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" \
   --trace-out="${SMOKE_DIR}/replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/live.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/replay.jsonl" \
-         --phase=action)
+cmp "${SMOKE_DIR}/live.jsonl" "${SMOKE_DIR}/replay.jsonl"
 # Same byte-for-byte contract under an injected fault schedule.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-replica --duration=420 \
   --fault-seed=7 --log-level=quiet \
@@ -77,10 +100,7 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/live.jsonl" \
   --trace-out="${SMOKE_DIR}/chaos-live.jsonl" >/dev/null
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/chaos.fglbcap" \
   --trace-out="${SMOKE_DIR}/chaos-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-live.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-replay.jsonl" \
-         --phase=action)
+cmp "${SMOKE_DIR}/chaos-live.jsonl" "${SMOKE_DIR}/chaos-replay.jsonl"
 # The reader must see exactly the streams the writer recorded: the
 # summary's arrival, execution and page-access counts equal the ones
 # fglb_sim logs as it closes the capture.
@@ -112,7 +132,8 @@ done
 echo "=== overload smoke: admission control + capture/replay ==="
 # The overload scenario turns admission on automatically; its trace must
 # carry phase=admission events, pass the schema check, and replay byte
-# for byte. An unknown --phase name must be rejected, not ignored.
+# for byte (the whole trace). An unknown --phase name must be rejected,
+# not ignored.
 "./${PREFIX}/tools/fglb_sim" --scenario=overload --duration=420 \
   --log-level=quiet --capture-out="${SMOKE_DIR}/overload.fglbcap" \
   --trace-out="${SMOKE_DIR}/overload.jsonl" >/dev/null
@@ -128,19 +149,15 @@ if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
 fi
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/overload.fglbcap" \
   --trace-out="${SMOKE_DIR}/overload-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload-replay.jsonl" \
-         --phase=action)
+cmp "${SMOKE_DIR}/overload.jsonl" "${SMOKE_DIR}/overload-replay.jsonl"
 
 echo "=== MRC smoke: window recomputation + OPT regret ==="
 # A --mrc-opt-regret run must emit phase=mrc events tagged
 # mode=recompute whose class profiles carry regret_vs_opt, pass the
 # schema check, and — because the mrc spec rides in the FGLBCAP1
-# header — replay to identical curves and diagnoses. dur_us is wall
-# clock, so it is stripped before the mrc-phase diff; the action
-# projection must match byte for byte as usual. (consolidation, not
-# overload: overload sheds its way past the mrc phase.)
+# header — replay to identical curves, diagnoses and actions: the whole
+# trace matches byte for byte. (consolidation, not overload: overload
+# sheds its way past the mrc phase.)
 "./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
   --log-level=quiet --mrc-opt-regret \
   --capture-out="${SMOKE_DIR}/mrc.fglbcap" \
@@ -152,14 +169,7 @@ echo "=== MRC smoke: window recomputation + OPT regret ==="
   | grep -q 'regret_vs_opt'
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/mrc.fglbcap" \
   --trace-out="${SMOKE_DIR}/mrc-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc.jsonl" \
-         --phase=mrc | sed 's/"dur_us":[0-9.]*,//') \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc-replay.jsonl" \
-         --phase=mrc | sed 's/"dur_us":[0-9.]*,//')
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc-replay.jsonl" \
-         --phase=action)
+cmp "${SMOKE_DIR}/mrc.jsonl" "${SMOKE_DIR}/mrc-replay.jsonl"
 
 echo "=== spans smoke: sampled query timelines + replay byte-identity ==="
 # A span-traced overload run (admission + shed paths exercise every
@@ -190,8 +200,7 @@ echo "=== tiered smoke: second tier, demote rung, replay byte-identity ==="
 # A tier-thrash run must answer the squeeze with the demote rung
 # instead of a migration, stamp tier fields on its phase=mrc events,
 # count the demotes in the summary, and — because the tier spec rides
-# in the FGLBCAP1 header — replay byte-identically (action projection
-# exactly, mrc modulo the wall-clock dur_us field).
+# in the FGLBCAP1 header — replay byte-identically (the whole trace).
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --duration=450 \
   --log-level=quiet --capture-out="${SMOKE_DIR}/tier.fglbcap" \
   --trace-out="${SMOKE_DIR}/tier.jsonl" >/dev/null
@@ -204,14 +213,7 @@ echo "=== tiered smoke: second tier, demote rung, replay byte-identity ==="
   | grep -q 'demote'
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/tier.fglbcap" \
   --trace-out="${SMOKE_DIR}/tier-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-replay.jsonl" \
-         --phase=action)
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
-         --phase=mrc | sed 's/"dur_us":[0-9.]*,//') \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-replay.jsonl" \
-         --phase=mrc | sed 's/"dur_us":[0-9.]*,//')
+cmp "${SMOKE_DIR}/tier.jsonl" "${SMOKE_DIR}/tier-replay.jsonl"
 # Same contract with the tier itself failing and degrading mid-run.
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-fail --duration=450 \
   --fault-seed=7 --log-level=quiet \
@@ -220,28 +222,20 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-fail.jsonl" --check
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/tier-fail.fglbcap" \
   --trace-out="${SMOKE_DIR}/tier-fail-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-fail.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" \
-         "${SMOKE_DIR}/tier-fail-replay.jsonl" --phase=action)
+cmp "${SMOKE_DIR}/tier-fail.jsonl" "${SMOKE_DIR}/tier-fail-replay.jsonl"
 # A partial/nonsensical tier-field set on a phase=mrc event must be
-# rejected by --check with a non-zero exit.
+# rejected by --check with exit 1.
 printf '%s\n' \
-  '{"v":1,"seq":0,"mono_us":1,"phase":"mrc","t":0,"tier2_pages":64,"tier2_resident":128,"tier2_read_us":100}' \
+  '{"v":1,"seq":0,"phase":"mrc","t":0,"tier2_pages":64,"tier2_resident":128,"tier2_read_us":100}' \
   > "${SMOKE_DIR}/broken-tier.jsonl"
-if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/broken-tier.jsonl" \
-  --check 2>/dev/null; then
-  echo "fglb_tracecat accepted a malformed tier spec" >&2
-  exit 1
-fi
+expect_check_rejects "${SMOKE_DIR}/broken-tier.jsonl"
 
 echo "=== survivability smoke: lossy stats channel + controller crash ==="
 # chaos-net: reports cross a lossy transport. The trace must pass
 # --check (which validates per-replica report_seq / stale_intervals
 # continuity on the recovery events), surface report_lost counts in the
 # summary, and — because the stats-channel spec rides in the FGLBCAP1
-# header — replay byte-identically: actions exactly, the full trace
-# modulo the wall-clock mono_us/dur_us fields.
+# header — replay byte-identically, the whole trace.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-net --duration=600 \
   --fault-seed=7 --log-level=quiet \
   --capture-out="${SMOKE_DIR}/net.fglbcap" \
@@ -251,14 +245,7 @@ echo "=== survivability smoke: lossy stats channel + controller crash ==="
   | grep -q 'report_lost'
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/net.fglbcap" \
   --trace-out="${SMOKE_DIR}/net-replay.jsonl"
-diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/net.jsonl" \
-         --phase=action) \
-     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/net-replay.jsonl" \
-         --phase=action)
-diff <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
-         "${SMOKE_DIR}/net.jsonl") \
-     <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
-         "${SMOKE_DIR}/net-replay.jsonl")
+cmp "${SMOKE_DIR}/net.jsonl" "${SMOKE_DIR}/net-replay.jsonl"
 # chaos-ctl: a controller crash + restart lands on top of the lossy
 # window. The restart must restore from the FGLBCKPT1 blob — a
 # why=restored recovery event, never bad_ckpt — and the whole run
@@ -277,10 +264,7 @@ if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl.jsonl" \
 fi
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/ctl.fglbcap" \
   --trace-out="${SMOKE_DIR}/ctl-replay.jsonl"
-diff <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
-         "${SMOKE_DIR}/ctl.jsonl") \
-     <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
-         "${SMOKE_DIR}/ctl-replay.jsonl")
+cmp "${SMOKE_DIR}/ctl.jsonl" "${SMOKE_DIR}/ctl-replay.jsonl"
 # The recovery bench enforces its own shape: exits non-zero if guarded
 # recovery drifts past 1.5x lossless or the unguarded arm stops
 # flapping.

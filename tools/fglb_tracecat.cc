@@ -1,7 +1,7 @@
 // fglb_tracecat: inspector for the JSONL decision traces fglb_sim
 // writes via --trace-out. Pretty-prints events, filters by phase /
 // app / query class, validates trace well-formedness, and summarizes
-// per-phase durations and action counts.
+// per-phase event, action and recovery counts.
 //
 //   ./build/tools/fglb_tracecat trace.jsonl
 //   ./build/tools/fglb_tracecat trace.jsonl --phase=action
@@ -66,8 +66,9 @@ usage: fglb_tracecat FILE [options]
                  --phase=action prints the simulator's action-log format
   --app=N        only events of application N
   --class=N      only events mentioning query class N (any app)
-  --summary      per-phase event counts, duration percentiles and
-                 action-kind counts instead of the events themselves
+  --summary      per-phase event and skipped counts, action-kind and
+                 recovery-why counts instead of the events themselves
+                 (wall time lives in --metrics-out, not the trace)
   --check        validate every line (schema fields, JSON syntax);
                  exit 1 on the first malformed line
   --spans        input is a --spans-out Chrome trace_event file;
@@ -171,7 +172,6 @@ void PrintEvent(const JsonValue& event) {
   JsonValue rest = event;
   rest.object.erase("v");
   rest.object.erase("seq");
-  rest.object.erase("mono_us");
   rest.object.erase("phase");
   rest.object.erase("t");
   std::printf("  %s\n", rest.Dump().c_str());
@@ -195,7 +195,6 @@ double PercentileOf(std::vector<double> values, double p) {
 struct PhaseStats {
   uint64_t events = 0;
   uint64_t skipped = 0;
-  std::vector<double> durations_us;
 };
 
 // --spans: summarize a --spans-out Chrome trace_event file. The whole
@@ -319,9 +318,6 @@ int Run(const TracecatOptions& options) {
       PhaseStats& stats = phases[phase];
       ++stats.events;
       if (event.BoolOr("skipped", false)) ++stats.skipped;
-      if (const JsonValue* dur = event.Find("dur_us")) {
-        stats.durations_us.push_back(dur->number);
-      }
       if (phase == "action") {
         ++action_kinds[event.StringOr("kind", "?")];
       }
@@ -345,22 +341,11 @@ int Run(const TracecatOptions& options) {
     return 0;
   }
   if (options.summary) {
-    std::printf("%-8s %8s %8s %12s %12s %12s %12s\n", "phase", "events",
-                "skipped", "dur_p50_us", "dur_p95_us", "dur_p99_us",
-                "dur_max_us");
+    std::printf("%-8s %8s %8s\n", "phase", "events", "skipped");
     for (const auto& [phase, stats] : phases) {
-      const double max_us =
-          stats.durations_us.empty()
-              ? 0
-              : *std::max_element(stats.durations_us.begin(),
-                                  stats.durations_us.end());
-      std::printf("%-8s %8llu %8llu %12.1f %12.1f %12.1f %12.1f\n",
-                  phase.c_str(),
+      std::printf("%-8s %8llu %8llu\n", phase.c_str(),
                   static_cast<unsigned long long>(stats.events),
-                  static_cast<unsigned long long>(stats.skipped),
-                  PercentileOf(stats.durations_us, 0.50),
-                  PercentileOf(stats.durations_us, 0.95),
-                  PercentileOf(stats.durations_us, 0.99), max_us);
+                  static_cast<unsigned long long>(stats.skipped));
     }
     if (!action_kinds.empty()) {
       std::printf("\nactions by kind:\n");
