@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -271,10 +272,11 @@ std::string Renumber(const std::string& line, size_t seq) {
   return prefix + std::to_string(seq) + line.substr(end);
 }
 
+// Dictionary tokens: JSON structure, the non-JSON numbers strtod used
+// to accept, and the trace keys the checker reads.
 const char* const kTokens[] = {
-    "[",     "{",      "\"",   "nan",        "1e999",    "\\u",
-    "\"seq\"", "}",    "]",    ",",          ":",        "-",
-    "0x0",   "\\u00",  "null", "\"replica\"", "\"report_seq\"", "1.5",
+    "[", "{", "\"", "nan", "1e999", "\\u", "\"seq\"", "}", "]", ",", ":",
+    "-", "0x0", "\\u00", "null", "1.5", "\"replica\"", "\"report_seq\"",
     "\"phase\":\"recovery\"", "\"why\":\"report_lost\"", "\"tier2_pages\":"};
 
 void Mutate(Rng* rng, const std::vector<std::string>& corpus,
@@ -302,14 +304,11 @@ void Mutate(Rng* rng, const std::vector<std::string>& corpus,
         *line = line->substr(0, at) + other.substr(from);
         break;
       }
-      case 3: {  // dictionary token, inserted
-        const size_t n = sizeof(kTokens) / sizeof(kTokens[0]);
-        line->insert(at, kTokens[rng->NextUint64(n)]);
+      case 3:  // dictionary token, inserted
+        line->insert(at, kTokens[rng->NextUint64(std::size(kTokens))]);
         break;
-      }
       default: {  // dictionary token, overwriting
-        const size_t n = sizeof(kTokens) / sizeof(kTokens[0]);
-        const std::string token = kTokens[rng->NextUint64(n)];
+        const std::string token = kTokens[rng->NextUint64(std::size(kTokens))];
         line->replace(at, token.size(), token);
         break;
       }
